@@ -163,24 +163,40 @@ def _steplog_csv(log) -> str:
     return "\n".join(rows)
 
 
-def cmd_solve(args) -> int:
-    module = _solver(args.method)
-    case = _case(args.problem)
-    t0 = args.t0 if args.t0 is not None else case.t_start
-    t1 = args.t1 if args.t1 is not None else case.t_stop
-
+def _check_solve_flags(args, t0: float, t1: float):
+    """Validate the numeric solve flags; returns the tolerances (None when fixed)."""
     fixed = args.h is not None
     if fixed and (args.atol is not None or args.rtol is not None):
         raise _usage_error("bad-flags", "give either --h or --atol/--rtol, not both")
     if not fixed and (args.atol is None or args.rtol is None):
         raise _usage_error("bad-flags", "adaptive runs need both --atol and --rtol")
+    if fixed and args.output_kind == "steplog":
+        raise _usage_error("bad-flags", "steplog output needs an adaptive run")
+    if not t0 < t1:
+        raise _usage_error("bad-flags", f"need --t0 < --t1, got {t0!r} and {t1!r}")
+    if fixed and not args.h > 0:
+        raise _usage_error("bad-flags", f"--h must be positive, got {args.h!r}")
+    if args.h0 is not None and not args.h0 > 0:
+        raise _usage_error("bad-flags", f"--h0 must be positive, got {args.h0!r}")
+    if fixed:
+        return None
+    try:
+        return Tolerances(args.atol, args.rtol)
+    except ValueError as exc:
+        raise _usage_error("bad-flags", str(exc)) from exc
+
+
+def cmd_solve(args) -> int:
+    module = _solver(args.method)
+    case = _case(args.problem)
+    t0 = args.t0 if args.t0 is not None else case.t_start
+    t1 = args.t1 if args.t1 is not None else case.t_stop
+    tol = _check_solve_flags(args, t0, t1)
 
     kernel = module.KERNEL
     options = IntegrationOptions(h0=args.h0, max_steps=args.max_steps)
     try:
-        if fixed:
-            if args.output_kind == "steplog":
-                raise _usage_error("bad-flags", "steplog output needs an adaptive run")
+        if tol is None:
             if args.output_kind == "last":
                 t_n, y_n = fixed_integrate(kernel, case.problem, args.h, case.y_0,
                                            t0, t1, last=True)
@@ -188,24 +204,24 @@ def cmd_solve(args) -> int:
             else:
                 traj = fixed_integrate(kernel, case.problem, args.h, case.y_0, t0, t1)
                 csv = _trajectory_csv(traj)
+        elif args.output_kind == "steplog":
+            log = integrate_info(kernel, case.problem, tol, case.y_0, t0, t1,
+                                 options=options)
+            csv = _steplog_csv(log)
+        elif args.output_kind == "last":
+            t_n, y_n = adaptive_integrate(kernel, case.problem, tol, case.y_0,
+                                          t0, t1, last=True, options=options)
+            csv = _last_csv(t_n, y_n)
         else:
-            tol = Tolerances(args.atol, args.rtol)
-            if args.output_kind == "steplog":
-                log = integrate_info(kernel, case.problem, tol, case.y_0, t0, t1,
-                                     options=options)
-                csv = _steplog_csv(log)
-            elif args.output_kind == "last":
-                t_n, y_n = adaptive_integrate(kernel, case.problem, tol, case.y_0,
-                                              t0, t1, last=True, options=options)
-                csv = _last_csv(t_n, y_n)
-            else:
-                traj = adaptive_integrate(kernel, case.problem, tol, case.y_0,
-                                          t0, t1, options=options)
-                csv = _trajectory_csv(traj)
+            traj = adaptive_integrate(kernel, case.problem, tol, case.y_0,
+                                      t0, t1, options=options)
+            csv = _trajectory_csv(traj)
     except IntegrationError as exc:
         raise _runtime_error("integration-failure", str(exc)) from exc
     except ValueError as exc:
-        raise _usage_error("bad-flags", str(exc)) from exc
+        # The flags are valid by now, so this comes from the rhs: a
+        # singularity or an output of the wrong shape.
+        raise _runtime_error("rhs-failure", str(exc)) from exc
     _write_output(csv, args.output)
     return 0
 

@@ -41,6 +41,7 @@ _SECTION_RE = re.compile(r"^#:: section (\w+)[ \t]*\n", re.MULTILINE)
 _KNOWN_PLACEHOLDERS = frozenset({
     "method_name", "order", "embedded_order", "stages", "description",
     "constants", "stage_lines", "y_update", "y_hat_update",
+    "wide_stage_lines", "wide_y_update", "wide_y_hat_update",
 })
 # Placeholders that must be present, per template role.
 _REQUIRED = {
@@ -151,30 +152,44 @@ def _constant_lines(t: ButcherTableau) -> str:
     return "\n".join(lines)
 
 
-def _stage_lines(t: ButcherTableau) -> str:
-    """Fully unrolled stage evaluations, one comprehension per stage.
+def _increment(weights, prefix: str, wide: bool) -> str | None:
+    """y + h * (weighted sum of stages), or None when every weight is zero.
 
-    Stage values are kept as plain float lists and combined componentwise in
-    Python: for the small systems this forge targets that beats array
-    arithmetic, whose per-operation dispatch dominates at these sizes.
+    Zero weights are elided and the terms are summed left to right in stage
+    order.  The float-list form combines one component at a time; the wide
+    form uses whole-array expressions.
     """
-    lines = ["    k1 = f(t, y).tolist()"]
+    index = "" if wide else "[a]"
+    terms = [f"{prefix}_{j + 1} * k{j + 1}{index}"
+             for j, w in enumerate(weights) if w != 0]
+    if not terms:
+        return None
+    if wide:
+        return f"y + h * ({' + '.join(terms)})"
+    return f"np.array([yl[a] + h * ({' + '.join(terms)}) for a in r])"
+
+
+def _stage_lines(t: ButcherTableau, wide: bool) -> str:
+    """Fully unrolled stage evaluations, one line per stage.
+
+    The float-list body keeps stage values as plain float lists and combines
+    them componentwise in Python, which beats array arithmetic on small
+    systems, where numpy's per-operation dispatch dominates.  Above the
+    crossover stepcontrol.WIDE_N the wide body's whole-array expressions win.
+    Elementwise numpy arithmetic rounds exactly like Python floats and both
+    bodies share term order, so they return bit-identical results.  The wide
+    body copies every stage value because an rhs may return the same buffer
+    on each call.
+    """
+    def evaluate(call):
+        return f"np.array({call}, dtype=float)" if wide else f"{call}.tolist()"
+
+    lines = [f"    k1 = {evaluate('f(t, y)')}"]
     for i in range(1, t.s):
         time = f"t + C_{i + 1} * h" if t.c[i] != 0 else "t"
-        terms = [f"A_{i + 1}_{j + 1} * k{j + 1}[a]"
-                 for j in range(i) if t.a[i][j] != 0]
-        if terms:
-            state = f"np.array([yl[a] + h * ({' + '.join(terms)}) for a in r])"
-        else:
-            state = "y"
-        lines.append(f"    k{i + 1} = f({time}, {state}).tolist()")
+        state = _increment(t.a[i][:i], f"A_{i + 1}", wide) or "y"
+        lines.append(f"    k{i + 1} = {evaluate(f'f({time}, {state})')}")
     return "\n".join(lines)
-
-
-def _weighted_update(t: ButcherTableau, weights, prefix: str) -> str:
-    terms = [f"{prefix}_{j + 1} * k{j + 1}[a]"
-             for j in range(t.s) if weights[j] != 0]
-    return f"np.array([yl[a] + h * ({' + '.join(terms)}) for a in r])"
 
 
 def _docstring_safe(text: str) -> str:
@@ -199,9 +214,12 @@ def _placeholder_values(t: ButcherTableau) -> dict:
         "stages": str(t.s),
         "description": _docstring_safe(t.description),
         "constants": _constant_lines(t),
-        "stage_lines": _stage_lines(t),
-        "y_update": _weighted_update(t, t.b, "B"),
-        "y_hat_update": _weighted_update(t, t.b_hat, "BH"),
+        "stage_lines": _stage_lines(t, wide=False),
+        "y_update": _increment(t.b, "B", wide=False),
+        "y_hat_update": _increment(t.b_hat, "BH", wide=False),
+        "wide_stage_lines": _stage_lines(t, wide=True),
+        "wide_y_update": _increment(t.b, "B", wide=True),
+        "wide_y_hat_update": _increment(t.b_hat, "BH", wide=True),
     }
 
 

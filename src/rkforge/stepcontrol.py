@@ -16,6 +16,7 @@ arithmetic has a single home.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,6 +34,7 @@ __all__ = [
     "StepLog",
     "StageValues",
     "StepKernel",
+    "WIDE_N",
     "IntegrationOptions",
     "IntegrationError",
     "MaxStepsExceeded",
@@ -57,8 +59,8 @@ class Tolerances:
     r_tol: float
 
     def __post_init__(self):
-        if self.a_tol < 0 or self.r_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (self.a_tol >= 0 and self.r_tol >= 0):
+            raise ValueError("tolerances must be nonnegative numbers")
         if self.a_tol + self.r_tol == 0:
             raise ValueError("a_tol and r_tol cannot both be zero")
 
@@ -180,21 +182,21 @@ class DivergenceError(IntegrationError):
     pass
 
 
-_FLOAT_CACHE: dict[int, tuple] = {}
+# Generated step kernels run their stage arithmetic on plain Python floats up
+# to this many components and as whole-array expressions above it.  Both
+# bodies round identically, so the choice affects speed only; the value is
+# the measured crossover of the two (see CHANGES.md for the sweep).
+WIDE_N = 16
 
 
+@functools.cache
 def _float_coefficients(t: ButcherTableau):
     """Tableau coefficients as float64 arrays, via the rendered literals so the
     interpreter and the generated code agree bit for bit."""
-    key = id(t)
-    cached = _FLOAT_CACHE.get(key)
-    if cached is not None and cached[0] is t:
-        return cached[1:]
     a = np.array([[float(render_coefficient_literal(x)) for x in row] for row in t.a])
     b = np.array([float(render_coefficient_literal(x)) for x in t.b])
     b_hat = np.array([float(render_coefficient_literal(x)) for x in t.b_hat])
     c = np.array([float(render_coefficient_literal(x)) for x in t.c])
-    _FLOAT_CACHE[key] = (t, a, b, b_hat, c)
     return a, b, b_hat, c
 
 
@@ -207,25 +209,23 @@ def erk_step_generic(t: ButcherTableau, prob: ODEProblem, t_m: float,
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    a, b, b_hat, c = _float_coefficients(t)
     y_m = np.asarray(y_m, dtype=float)
-    n = y_m.shape[0]
-    k = np.empty((t.s, n))
-    k[0] = _eval_rhs(prob, t_m, y_m, n)
-    for i in range(1, t.s):
+    return _generic_step(_float_coefficients(t), _vectorized_rhs(prob, y_m.shape[0]),
+                         t_m, y_m, h)
+
+
+def _generic_step(coefficients, f, t_m: float, y_m: np.ndarray, h: float):
+    """erk_step_generic on float coefficients and an rhs that returns (N,)
+    float arrays."""
+    a, b, b_hat, c = coefficients
+    k = np.empty((a.shape[0], y_m.shape[0]))
+    k[0] = f(t_m, y_m)
+    for i in range(1, a.shape[0]):
         y_i = y_m + h * (a[i, :i] @ k[:i])
-        k[i] = _eval_rhs(prob, t_m + c[i] * h, y_i, n)
+        k[i] = f(t_m + c[i] * h, y_i)
     y_next = y_m + h * (b @ k)
     y_hat_next = y_m + h * (b_hat @ k)
     return y_next, y_hat_next, k
-
-
-def _eval_rhs(prob: ODEProblem, t: float, y: np.ndarray, n: int) -> np.ndarray:
-    out = np.asarray(prob.rhs(t, y), dtype=float)
-    if out.shape != (n,):
-        raise ValueError(
-            f"rhs returned shape {out.shape}, expected ({n},)")
-    return out
 
 
 def interpreted_kernel(t: ButcherTableau) -> StepKernel:
@@ -236,9 +236,10 @@ def interpreted_kernel(t: ButcherTableau) -> StepKernel:
     benchmarked against.
     """
 
+    coefficients = _float_coefficients(t)
+
     def step(f, t_m, y_m, h):
-        prob = ODEProblem(dimension=y_m.shape[0], rhs=f, name=t.name)
-        y_next, y_hat_next, _ = erk_step_generic(t, prob, t_m, y_m, h)
+        y_next, y_hat_next, _ = _generic_step(coefficients, f, t_m, y_m, h)
         return y_next, y_hat_next
 
     return StepKernel(name=t.name, order=t.p, stages=t.s, step=step)
@@ -296,8 +297,8 @@ def _as_problem(f, y_0, name="") -> ODEProblem:
     return ODEProblem(dimension=len(y_0), rhs=f, name=name)
 
 
-def _vectorized_rhs(prob: ODEProblem):
-    n = prob.dimension
+def _vectorized_rhs(prob: ODEProblem, n: int):
+    """prob.rhs returning float arrays, checked to have shape (n,)."""
     rhs = prob.rhs
 
     def f(t, y):
@@ -313,6 +314,12 @@ def _adaptive_loop(kernel: StepKernel, prob: ODEProblem, tol: Tolerances,
                    y_0, t_start: float, t_stop: float,
                    options: IntegrationOptions | None,
                    record_states: bool):
+    """The adaptive loop behind every adaptive driver.
+
+    Returns (t_n, y_n, times, states, step_log): the accepted grid and its
+    states are lists when ``record_states`` and None otherwise, and
+    ``step_log()`` builds the StepLog, which only integrate_info asks for.
+    """
     if t_stop <= t_start:
         raise ValueError("need t_stop > t_start")
     opts = options or IntegrationOptions()
@@ -320,7 +327,7 @@ def _adaptive_loop(kernel: StepKernel, prob: ODEProblem, tol: Tolerances,
     y = np.asarray(y_0, dtype=float).copy()
     if not np.all(np.isfinite(y)):
         raise ValueError("initial state must be finite")
-    f = _vectorized_rhs(prob)
+    f = _vectorized_rhs(prob, prob.dimension)
     step = kernel.step
 
     h = opts.h0 if opts.h0 is not None else (t_stop - t_start) / 100.0
@@ -331,7 +338,7 @@ def _adaptive_loop(kernel: StepKernel, prob: ODEProblem, tol: Tolerances,
 
     t = t_start
     e_prev = 1.0
-    times = [t_start]
+    times = [t_start] if record_states else None
     states = [y.copy()] if record_states else None
     acc_t: list[float] = []
     acc_h: list[float] = []
@@ -340,7 +347,7 @@ def _adaptive_loop(kernel: StepKernel, prob: ODEProblem, tol: Tolerances,
     errs: list[float] = []
     attempts = 0
 
-    def partial_log():
+    def step_log():
         return StepLog(np.array(acc_t), np.array(acc_h), np.array(rej_t),
                        np.array(rej_h), np.array(errs))
 
@@ -348,20 +355,17 @@ def _adaptive_loop(kernel: StepKernel, prob: ODEProblem, tol: Tolerances,
         if attempts >= opts.max_steps:
             raise MaxStepsExceeded(
                 f"no convergence within {opts.max_steps} step attempts "
-                f"(reached t = {t})", t, y, partial_log())
+                f"(reached t = {t})", t, y, step_log())
         h_use = min(h, t_stop - t)
         if h_use < h_min and t + h_use < t_stop:
             raise StepSizeUnderflow(
                 f"step size underflow: h = {h_use} < h_min = {h_min} at t = {t}",
-                t, y, partial_log())
+                t, y, step_log())
         attempts += 1
         y_next, y_hat_next = step(f, t, y, h_use)
-        if not (np.all(np.isfinite(y_next)) and np.all(np.isfinite(y_hat_next))):
-            # Treat a non-finite trial as an infinitely bad step: reject and
-            # retry smaller; persistent failure ends in StepSizeUnderflow.
-            e_m = math.inf
-        else:
-            e_m = error_norm(y_next, y_hat_next, tol)
+        # A non-finite trial has E = inf: it is rejected and retried smaller,
+        # and persistent failure ends in StepSizeUnderflow.
+        e_m = error_norm(y_next, y_hat_next, tol)
         if e_m <= 1.0:
             y = y_hat_next if opts.propagate_embedded else y_next
             final = h_use >= t_stop - t
@@ -370,8 +374,8 @@ def _adaptive_loop(kernel: StepKernel, prob: ODEProblem, tol: Tolerances,
             acc_h.append(h_use)
             errs.append(e_m)
             t = t_new
-            times.append(t)
             if record_states:
+                times.append(t)
                 states.append(y.copy())
             h = propose_step_size(h_use, e_m, e_prev, cp)
             e_prev = max(e_m, cp.e_prev_floor)
@@ -380,10 +384,7 @@ def _adaptive_loop(kernel: StepKernel, prob: ODEProblem, tol: Tolerances,
             rej_h.append(h_use)
             h = rescale_rejected(h_use, e_m, cp)
 
-    log = partial_log()
-    times_arr = np.array(times)
-    states_arr = np.array(states) if record_states else None
-    return times_arr, states_arr, y, log
+    return t, y, times, states, step_log
 
 
 def adaptive_integrate(method: StepKernel, prob, tol: Tolerances, y_0,
@@ -395,11 +396,11 @@ def adaptive_integrate(method: StepKernel, prob, tol: Tolerances, y_0,
     specialized code); ``prob`` is an ODEProblem or a bare rhs callable.
     """
     prob = _as_problem(prob, y_0)
-    times, states, y, _ = _adaptive_loop(method, prob, tol, y_0, t_start, t_stop,
-                                         options, record_states=not last)
+    t, y, times, states, _ = _adaptive_loop(method, prob, tol, y_0, t_start, t_stop,
+                                            options, record_states=not last)
     if last:
-        return times[-1], y
-    return Trajectory(times=times, states=states)
+        return float(t), y
+    return Trajectory(times=np.array(times), states=np.array(states))
 
 
 def integrate_info(method: StepKernel, prob, tol: Tolerances, y_0,
@@ -407,9 +408,9 @@ def integrate_info(method: StepKernel, prob, tol: Tolerances, y_0,
                    options: IntegrationOptions | None = None) -> StepLog:
     """Adaptive integration returning the accepted/rejected step log."""
     prob = _as_problem(prob, y_0)
-    _, _, _, log = _adaptive_loop(method, prob, tol, y_0, t_start, t_stop,
+    *_, step_log = _adaptive_loop(method, prob, tol, y_0, t_start, t_stop,
                                   options, record_states=False)
-    return log
+    return step_log()
 
 
 def fixed_integrate(method: StepKernel, prob, h: float, y_0,
@@ -423,7 +424,7 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
     if t_stop <= t_start:
         raise ValueError("need t_stop > t_start")
     prob = _as_problem(prob, y_0)
-    f = _vectorized_rhs(prob)
+    f = _vectorized_rhs(prob, prob.dimension)
     step = method.step
     span = t_stop - t_start
     n_steps = max(1, math.ceil(span / h - 1e-9))

@@ -16,6 +16,7 @@ anyway (they fail honestly; the analysis lives in the project notes):
 """
 import math
 import time
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -93,7 +94,9 @@ def test_criterion_3_kernel_equivalence(name):
     start = time.perf_counter()
     tab = TABLEAUS[name]
     mod = GENERATED[name]
-    rng = np.random.default_rng(abs(hash(name)) % 2 ** 32)
+    seed = zlib.crc32(name.encode())
+    print(f"criterion 3 ({name}): seed {seed}")
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 7))

@@ -1,9 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rkforge import cli
 from rkforge.cli import main
+from rkforge.problems import ArenstorfParams, benchmark_case
 
 
 def run(capsys, *argv):
@@ -153,6 +156,41 @@ class TestSolve:
                            "--h", "0.1", "--atol", "1e-6")
         assert code == 2
         assert "forge: error[bad-flags]" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--atol=-1e-6", "--rtol", "1e-6"),
+        ("--atol", "0", "--rtol", "0"),
+        ("--atol", "nan", "--rtol", "1e-6"),
+        ("--atol", "1e-6", "--rtol", "1e-6", "--t0", "5", "--t1", "1"),
+        ("--atol", "1e-6", "--rtol", "1e-6", "--h0", "0"),
+        ("--h", "-0.1"),
+        ("--h", "0.1", "--t0", "1", "--t1", "1"),
+    ])
+    def test_bad_flag_values_exit_2(self, capsys, flags):
+        code, out, err = run(capsys, "solve", "--method", "DOPRI5", "--problem", "vdp",
+                             *flags)
+        assert code == 2 and out == ""
+        assert "forge: error[bad-flags]" in err
+
+    def test_rhs_singularity_exit_1(self, capsys, monkeypatch):
+        # start the small body exactly on the large one: arenstorf_rhs raises
+        # SingularityError (a ValueError) on its first call
+        case = benchmark_case("arenstorf:1")
+        on_body = np.array([0.0, 0.0, ArenstorfParams().mu2, 0.0])
+        monkeypatch.setattr(cli, "benchmark_case", lambda name: replace(case, y_0=on_body))
+        code, out, err = run(capsys, "solve", "--method", "DOPRI5",
+                             "--problem", "arenstorf:1", "--atol", "1e-6", "--rtol", "1e-6")
+        assert code == 1 and out == ""
+        assert "forge: error[rhs-failure]" in err and "collision" in err
+
+    def test_rhs_shape_mismatch_exit_1(self, capsys, monkeypatch):
+        case = benchmark_case("vdp")
+        wrong = replace(case.problem, rhs=lambda t, y: np.zeros(3))
+        monkeypatch.setattr(cli, "benchmark_case", lambda name: replace(case, problem=wrong))
+        code, out, err = run(capsys, "solve", "--method", "DOPRI5", "--problem", "vdp",
+                             "--h", "0.1")
+        assert code == 1 and out == ""
+        assert "forge: error[rhs-failure]" in err and "shape" in err
 
     def test_integration_failure_exit_1(self, capsys):
         code, _, err = run(capsys, "solve", "--method", "DOPRI5",

@@ -1,6 +1,9 @@
 import re
+import sys
+import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rkforge import shipped_methods
@@ -14,6 +17,8 @@ from rkforge.codegen import (
     render_method_module,
     render_solver_source,
 )
+from rkforge.generated import METHODS
+from rkforge.stepcontrol import WIDE_N, Tolerances, adaptive_integrate
 from rkforge.tableau import parse_method_file
 from test_tableau import SAMPLE, sample_tableau
 
@@ -198,3 +203,67 @@ class TestVariantConsistency:
                                       np.array([1.0]), 0.0, 1.0)
         assert t_n == 1.0
         assert abs(float(y_n[0]) - np.e) < 1e-4
+
+
+class TestDimensionSwitch:
+    """The float-list and wide bodies of every generated _step agree bit for bit."""
+
+    @staticmethod
+    def both_bodies(monkeypatch, mod, call):
+        results = []
+        for wide_n in (sys.maxsize, 0):  # float-list body, then wide body
+            monkeypatch.setattr(mod, "WIDE_N", wide_n)
+            results.append(call())
+        return results
+
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_bodies_bit_identical(self, monkeypatch, name):
+        mod = METHODS[name]
+        seed = zlib.crc32(name.encode())
+        print(f"{name}: seed {seed}")
+        rng = np.random.default_rng(seed)
+        for n in (1, 5, WIDE_N, WIDE_N + 1, 3 * WIDE_N):
+            y = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
+            h = 10.0 ** rng.uniform(-4, -1)
+            t0 = rng.uniform(-5, 5)
+            mat = rng.standard_normal((n, n))
+            f = lambda t, yy: mat @ yy + np.cos(t + yy)
+            (y_list, hat_list), (y_wide, hat_wide) = self.both_bodies(
+                monkeypatch, mod, lambda: mod._step(f, t0, y, h))
+            assert np.array_equal(y_list, y_wide), (name, n)
+            assert np.array_equal(hat_list, hat_wide), (name, n)
+
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_rhs_reusing_its_output_buffer(self, monkeypatch, name):
+        mod = METHODS[name]
+        n = 3 * WIDE_N
+        y = np.linspace(0.5, 2.0, n)
+        out = np.empty(n)
+
+        def in_place(t, yy):
+            np.multiply(yy, np.cos(t + yy), out=out)
+            return out
+
+        def fresh(t, yy):
+            return yy * np.cos(t + yy)
+
+        expected = self.both_bodies(monkeypatch, mod, lambda: mod._step(fresh, 0.3, y, 0.05))
+        got = self.both_bodies(monkeypatch, mod, lambda: mod._step(in_place, 0.3, y, 0.05))
+        for body_expected, body_got in zip(expected, got):
+            assert all(np.array_equal(e, g) for e, g in zip(body_expected, body_got)), name
+
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_ensemble_trajectory_bit_identical(self, monkeypatch, name):
+        copies = 20  # N = 40
+
+        def rhs(t, y):
+            u, v = y[:copies], y[copies:]
+            uuv = u * u * v
+            return np.concatenate((1.0 + uuv - 4.0 * u, 3.0 * u - uuv))
+
+        y_0 = np.concatenate((np.linspace(0.5, 2.0, copies), np.linspace(2.0, 4.0, copies)))
+        mod = METHODS[name]
+        list_run, wide_run = self.both_bodies(monkeypatch, mod, lambda: adaptive_integrate(
+            mod.KERNEL, rhs, Tolerances(1e-6, 1e-6), y_0, 0.0, 10.0))
+        assert np.array_equal(list_run.times, wide_run.times)
+        assert np.array_equal(list_run.states, wide_run.states)

@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -285,7 +286,9 @@ class TestKernelEquivalence:
         from rkforge.generated import METHODS as GEN
         tab = TABLEAUS[name]
         mod = GEN[name]
-        rng = np.random.default_rng(hash(name) % 2 ** 32)
+        seed = zlib.crc32(name.encode())
+        print(f"{name}: seed {seed}")
+        rng = np.random.default_rng(seed)
         for _ in range(25):
             n = int(rng.integers(1, 7))
             y = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
