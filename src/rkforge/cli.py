@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import shipped_method_path
-from .codegen import format_manifest, generate_module_set, load_templates
+from .codegen import format_manifest, generate_module_set
 from .problems import PROBLEM_NAMES, benchmark_case, closure_error
 from .stepcontrol import (
     IntegrationError,
@@ -109,7 +109,7 @@ def cmd_generate(args) -> int:
     if problems:
         raise _usage_error("invalid-tableau", "; ".join(problems))
     try:
-        manifest = generate_module_set(methods, args.out, load_templates())
+        manifest = generate_module_set(methods, args.out)
     except (OSError, ValueError) as exc:
         code = "io-failure" if isinstance(exc, OSError) else "invalid-tableau"
         raise _runtime_error(code, str(exc)) from exc
@@ -163,6 +163,13 @@ def _steplog_csv(log) -> str:
     return "\n".join(rows)
 
 
+def _tolerances(a_tol: float, r_tol: float) -> Tolerances:
+    try:
+        return Tolerances(a_tol, r_tol)
+    except ValueError as exc:
+        raise _usage_error("bad-flags", str(exc)) from exc
+
+
 def _check_solve_flags(args, t0: float, t1: float):
     """Validate the numeric solve flags; returns the tolerances (None when fixed)."""
     fixed = args.h is not None
@@ -178,12 +185,7 @@ def _check_solve_flags(args, t0: float, t1: float):
         raise _usage_error("bad-flags", f"--h must be positive, got {args.h!r}")
     if args.h0 is not None and not args.h0 > 0:
         raise _usage_error("bad-flags", f"--h0 must be positive, got {args.h0!r}")
-    if fixed:
-        return None
-    try:
-        return Tolerances(args.atol, args.rtol)
-    except ValueError as exc:
-        raise _usage_error("bad-flags", str(exc)) from exc
+    return None if fixed else _tolerances(args.atol, args.rtol)
 
 
 def cmd_solve(args) -> int:
@@ -231,6 +233,7 @@ def cmd_report(args) -> int:
     names = args.method or sorted(registry)
     if args.kind == "arenstorf-table":
         case = _case(f"arenstorf:{args.group}")
+        tol = _tolerances(args.atol, args.rtol)
         rows = ["method,status,closure_error"]
         statuses = []
         for name in names:
@@ -241,7 +244,7 @@ def cmd_report(args) -> int:
                 continue
             try:
                 _, y_n = adaptive_integrate(
-                    module.KERNEL, case.problem, Tolerances(args.atol, args.rtol),
+                    module.KERNEL, case.problem, tol,
                     case.y_0, case.t_start, case.t_stop, last=True,
                     options=IntegrationOptions(max_steps=args.max_steps))
                 rows.append(f"{name},ok,{_fmt(closure_error(y_n, case.y_0))}")
@@ -277,6 +280,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.steps < 1:
+        raise _usage_error("bad-flags", f"--steps must be positive, got {args.steps!r}")
     module = _solver(args.method)
     case = _case("brusselator")
     from . import shipped_methods

@@ -3,20 +3,21 @@
 Each method yields one Python module whose step kernel is fully unrolled:
 every nonzero coefficient becomes a named scalar constant (A_i_j, B_j, BH_j,
 C_i) rendered at 17 significant digits, and terms with zero coefficients are
-simply absent.  The templates are declarative text with {{name}} placeholders
-split into sections by "#:: section <name>" marker lines; all expansion logic
-(per-stage loops, zero elision) lives in this renderer.
+simply absent.  One template, templates/solver.py.tmpl, is declarative text
+with {{name}} placeholders, read and checked once; all expansion logic
+(per-stage loops, zero elision) lives in this renderer, which fills every
+placeholder in a single pass.
 
 The adaptive drivers delegate error-norm and step-update arithmetic to
 rkforge.stepcontrol, which keeps the control formulas in one place.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import re
 import tempfile
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -24,113 +25,44 @@ from .tableau import ButcherTableau, render_coefficient_literal, validate_tablea
 
 __all__ = [
     "TemplateError",
-    "TemplateSet",
-    "GeneratedModule",
-    "VARIANTS",
-    "load_templates",
-    "render_solver_source",
+    "check_template",
     "render_method_module",
     "generate_module_set",
     "format_manifest",
 ]
 
 _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
-_SECTION_RE = re.compile(r"^#:: section (\w+)[ \t]*\n", re.MULTILINE)
 
-# Placeholders the renderer knows how to fill.
-_KNOWN_PLACEHOLDERS = frozenset({
+# The placeholders the renderer fills; the template uses each of them and no
+# other.
+_PLACEHOLDERS = frozenset({
     "method_name", "order", "embedded_order", "stages", "description",
     "constants", "stage_lines", "y_update", "y_hat_update",
     "wide_stage_lines", "wide_y_update", "wide_y_hat_update",
 })
-# Placeholders that must be present, per template role.
-_REQUIRED = {
-    "adaptive": _KNOWN_PLACEHOLDERS,
-    "fixed": frozenset({"method_name"}),
-}
-_SECTIONS = {
-    "adaptive": ("prelude", "trajectory", "last", "info"),
-    "fixed": ("fixed_trajectory", "fixed_last"),
-}
-
-VARIANTS = ("adaptive-trajectory", "adaptive-last", "adaptive-info",
-            "fixed-trajectory", "fixed-last")
 
 
 class TemplateError(ValueError):
-    """Template failed to load: bad section structure or unknown placeholder."""
+    """Template uses an unknown placeholder or lacks a required one."""
 
 
-@dataclass(frozen=True)
-class TemplateSet:
-    """Parsed solver templates: section name -> section text."""
-
-    adaptive_name: str
-    fixed_name: str
-    adaptive_sections: dict
-    fixed_sections: dict
-
-
-@dataclass(frozen=True)
-class GeneratedModule:
-    """Rendered standalone solver source for one method and one variant."""
-
-    method_name: str
-    variant: str
-    source: str
-
-
-def _split_sections(text: str, role: str, name: str) -> dict:
-    matches = list(_SECTION_RE.finditer(text))
-    if not matches:
-        raise TemplateError(f"{name}: no '#:: section' markers found")
-    head = text[:matches[0].start()]
-    if head.strip():
-        raise TemplateError(f"{name}: text before the first section marker")
-    sections = {}
-    for i, m in enumerate(matches):
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(text)
-        key = m.group(1)
-        if key in sections:
-            raise TemplateError(f"{name}: duplicate section {key!r}")
-        sections[key] = text[m.end():end]
-    expected = _SECTIONS[role]
-    if tuple(sections) != expected:
-        raise TemplateError(
-            f"{name}: sections {tuple(sections)} do not match expected {expected}")
-    placeholders = set(_PLACEHOLDER_RE.findall(text))
-    unknown = placeholders - _KNOWN_PLACEHOLDERS
+def check_template(text: str) -> str:
+    """Return the template text if its placeholders are exactly the known set."""
+    used = set(_PLACEHOLDER_RE.findall(text))
+    unknown = used - _PLACEHOLDERS
     if unknown:
-        raise TemplateError(f"{name}: unknown placeholders {sorted(unknown)}")
-    missing = _REQUIRED[role] - placeholders
+        raise TemplateError(f"unknown placeholders {sorted(unknown)}")
+    missing = _PLACEHOLDERS - used
     if missing:
-        raise TemplateError(f"{name}: missing required placeholders {sorted(missing)}")
-    return sections
+        raise TemplateError(f"missing required placeholders {sorted(missing)}")
+    return text
 
 
-def load_templates(adaptive_path: str | Path | None = None,
-                   fixed_path: str | Path | None = None) -> TemplateSet:
-    """Load and validate the solver templates (package defaults unless given)."""
-    if adaptive_path is None:
-        adaptive_name = "adaptive.py.tmpl"
-        adaptive_text = (resources.files(__package__) / "templates" /
-                         adaptive_name).read_text(encoding="utf-8")
-    else:
-        adaptive_name = str(adaptive_path)
-        adaptive_text = Path(adaptive_path).read_text(encoding="utf-8")
-    if fixed_path is None:
-        fixed_name = "fixed.py.tmpl"
-        fixed_text = (resources.files(__package__) / "templates" /
-                      fixed_name).read_text(encoding="utf-8")
-    else:
-        fixed_name = str(fixed_path)
-        fixed_text = Path(fixed_path).read_text(encoding="utf-8")
-    return TemplateSet(
-        adaptive_name=adaptive_name,
-        fixed_name=fixed_name,
-        adaptive_sections=_split_sections(adaptive_text, "adaptive", adaptive_name),
-        fixed_sections=_split_sections(fixed_text, "fixed", fixed_name),
-    )
+@functools.cache
+def _template() -> str:
+    """The packaged solver template, read and checked once."""
+    path = resources.files(__package__) / "templates" / "solver.py.tmpl"
+    return check_template(path.read_text(encoding="utf-8"))
 
 
 def _constant_lines(t: ButcherTableau) -> str:
@@ -197,13 +129,7 @@ def _docstring_safe(text: str) -> str:
 
 
 def _render(text: str, values: dict) -> str:
-    def sub(match):
-        return values[match.group(1)]
-    out = _PLACEHOLDER_RE.sub(sub, text)
-    leftover = _PLACEHOLDER_RE.search(out)
-    if leftover:
-        raise TemplateError(f"unfilled placeholder {leftover.group(0)}")
-    return out
+    return _PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], text)
 
 
 def _placeholder_values(t: ButcherTableau) -> dict:
@@ -230,45 +156,10 @@ def _require_valid(t: ButcherTableau) -> None:
         raise ValueError(f"tableau {t.name!r} is invalid: {problems}")
 
 
-def render_solver_source(t: ButcherTableau,
-                         templates: TemplateSet | None = None) -> tuple[GeneratedModule, ...]:
-    """Render the five solver variants for one (valid) method.
-
-    Each variant's source is a standalone module: the shared prelude
-    (constants plus the unrolled step kernel) followed by that variant's
-    driver function.
-    """
+def render_method_module(t: ButcherTableau) -> str:
+    """Full per-method module: constants, step kernel and all five drivers."""
     _require_valid(t)
-    templates = templates or load_templates()
-    values = _placeholder_values(t)
-    prelude = _render(templates.adaptive_sections["prelude"], values)
-    out = []
-    for variant, role, section in (
-            ("adaptive-trajectory", "adaptive", "trajectory"),
-            ("adaptive-last", "adaptive", "last"),
-            ("adaptive-info", "adaptive", "info"),
-            ("fixed-trajectory", "fixed", "fixed_trajectory"),
-            ("fixed-last", "fixed", "fixed_last")):
-        sections = (templates.adaptive_sections if role == "adaptive"
-                    else templates.fixed_sections)
-        body = _render(sections[section], values)
-        out.append(GeneratedModule(method_name=t.name, variant=variant,
-                                   source=prelude + body))
-    return tuple(out)
-
-
-def render_method_module(t: ButcherTableau,
-                         templates: TemplateSet | None = None) -> str:
-    """Full per-method module: prelude plus all five driver variants."""
-    _require_valid(t)
-    templates = templates or load_templates()
-    values = _placeholder_values(t)
-    parts = [_render(templates.adaptive_sections["prelude"], values)]
-    for section in ("trajectory", "last", "info"):
-        parts.append(_render(templates.adaptive_sections[section], values))
-    for section in ("fixed_trajectory", "fixed_last"):
-        parts.append(_render(templates.fixed_sections[section], values))
-    return "".join(parts)
+    return _render(_template(), _placeholder_values(t))
 
 
 def _index_source(methods) -> str:
@@ -305,13 +196,12 @@ def _atomic_write(path: Path, content: str) -> None:
         raise
 
 
-def generate_module_set(methods, out_dir: str | Path,
-                        templates: TemplateSet | None = None):
+def generate_module_set(methods, out_dir: str | Path):
     """Write one solver module per method plus the registry index.
 
     Returns the manifest: a list of (relative path, sha256 hex) pairs sorted
-    by path.  Files are replaced atomically; duplicate method names abort
-    before anything is written.
+    by path.  Files are replaced atomically; duplicate method names and
+    invalid tableaus abort before anything is written.
     """
     methods = list(methods)
     seen = {}
@@ -321,16 +211,11 @@ def generate_module_set(methods, out_dir: str | Path,
             raise ValueError(
                 f"duplicate method name {t.name!r} (collides with {seen[key]!r})")
         seen[key] = t.name
-    for t in methods:
-        _require_valid(t)
-    templates = templates or load_templates()
+    rendered = [(f"{t.name.lower()}.py", render_method_module(t)) for t in methods]
+    rendered.append(("__init__.py", _index_source(methods)))
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rendered = [(f"{t.name.lower()}.py", render_method_module(t, templates))
-                for t in methods]
-    rendered.append(("__init__.py", _index_source(methods)))
-
     manifest = []
     for rel, content in rendered:
         _atomic_write(out_dir / rel, content)

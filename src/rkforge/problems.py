@@ -27,7 +27,6 @@ __all__ = [
     "arenstorf_initials",
     "arenstorf_hamiltonian",
     "closure_error",
-    "evaluate_rhs",
     "BenchmarkCase",
     "benchmark_case",
     "PROBLEM_NAMES",
@@ -158,28 +157,6 @@ def closure_error(traj_end, start) -> float:
     end_q = np.asarray(traj_end, dtype=float)[2:4]
     start_q = np.asarray(start, dtype=float)[2:4]
     return float(np.linalg.norm(end_q - start_q))
-
-
-_DIMENSIONS = {"vdp": 2, "rigid-body": 3, "brusselator": 2, "arenstorf": 4}
-
-
-def evaluate_rhs(problem: str, t: float, y):
-    """Evaluate one of the named benchmark systems at (t, y)."""
-    y = np.asarray(y, dtype=float)
-    base = problem.split(":")[0]
-    if base not in _DIMENSIONS:
-        raise ValueError(f"unknown problem {problem!r}")
-    if y.shape != (_DIMENSIONS[base],):
-        raise ValueError(
-            f"{problem} expects a state of dimension {_DIMENSIONS[base]}, got shape {y.shape}")
-    if base == "vdp":
-        return vdp_rhs(t, y)
-    if base == "rigid-body":
-        return rigid_body_rhs(t, y)
-    if base == "brusselator":
-        return brusselator_rhs(t, y)
-    group = int(problem.partition(":")[2] or 1)
-    return arenstorf_rhs(t, y, arenstorf_initials(group)[1])
 
 
 @dataclass(frozen=True)

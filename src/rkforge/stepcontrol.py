@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "ODEProblem",
     "Trajectory",
     "StepLog",
-    "StageValues",
     "StepKernel",
     "WIDE_N",
     "IntegrationOptions",
@@ -81,7 +79,6 @@ class ControllerParams:
     f_max: float = 5.0
     alpha_exp: float = 0.0
     beta_exp: float = 0.0
-    p_ctrl: int = 1
     e_prev_floor: float = 1e-4
 
     def __post_init__(self):
@@ -101,7 +98,7 @@ class ControllerParams:
         beta = 0.4 / p
         alpha = 0.7 / p - 0.75 * beta
         return cls(f_s=f_s, f_min=f_min, f_max=f_max,
-                   alpha_exp=alpha, beta_exp=beta, p_ctrl=p)
+                   alpha_exp=alpha, beta_exp=beta)
 
 
 @dataclass(frozen=True)
@@ -111,11 +108,6 @@ class ODEProblem:
     dimension: int
     rhs: Callable[[float, np.ndarray], Sequence[float]]
     name: str = ""
-
-
-# Stage values k of one step: an (s, N) float array, row i depending only on
-# rows < i.
-StageValues = np.ndarray
 
 
 @dataclass(frozen=True)

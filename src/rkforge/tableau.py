@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 __all__ = [
     "Rational",
@@ -26,7 +25,6 @@ __all__ = [
     "Violation",
     "ValidationReport",
     "parse_rational",
-    "format_rational",
     "parse_method_file",
     "validate_tableau",
     "render_coefficient_literal",
@@ -94,11 +92,6 @@ def parse_rational(value) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(int(num))
     raise CoefficientError(f"coefficient must be a string or number, got {type(value).__name__}")
-
-
-def format_rational(r: Fraction) -> str:
-    """Inverse of parse_rational for strings: "m" or "m/n" in lowest terms."""
-    return str(r)
 
 
 @dataclass(frozen=True)

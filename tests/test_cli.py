@@ -15,6 +15,9 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SOLVE_VDP = ("solve", "--method", "DOPRI5", "--problem", "vdp")
+
+
 def parse_csv(text):
     lines = [l for l in text.strip().splitlines() if l]
     header = lines[0].split(",")
@@ -158,19 +161,23 @@ class TestSolve:
         assert "forge: error[bad-flags]" in err
 
     @pytest.mark.parametrize("flags", [
-        ("--atol=-1e-6", "--rtol", "1e-6"),
-        ("--atol", "0", "--rtol", "0"),
-        ("--atol", "nan", "--rtol", "1e-6"),
-        ("--atol", "1e-6", "--rtol", "1e-6", "--t0", "5", "--t1", "1"),
-        ("--atol", "1e-6", "--rtol", "1e-6", "--h0", "0"),
-        ("--h", "-0.1"),
-        ("--h", "0.1", "--t0", "1", "--t1", "1"),
+        (*SOLVE_VDP, "--atol=-1e-6", "--rtol", "1e-6"),
+        (*SOLVE_VDP, "--atol", "0", "--rtol", "0"),
+        (*SOLVE_VDP, "--atol", "nan", "--rtol", "1e-6"),
+        (*SOLVE_VDP, "--atol", "1e-6", "--rtol", "1e-6", "--t0", "5", "--t1", "1"),
+        (*SOLVE_VDP, "--atol", "1e-6", "--rtol", "1e-6", "--h0", "0"),
+        (*SOLVE_VDP, "--h", "-0.1"),
+        (*SOLVE_VDP, "--h", "0.1", "--t0", "1", "--t1", "1"),
+        ("report", "--kind", "arenstorf-table", "--atol", "-1"),
+        ("report", "--kind", "arenstorf-table", "--atol", "nan"),
+        ("bench", "--steps", "0"),
+        ("bench", "--steps", "-3"),
     ])
     def test_bad_flag_values_exit_2(self, capsys, flags):
-        code, out, err = run(capsys, "solve", "--method", "DOPRI5", "--problem", "vdp",
-                             *flags)
+        code, out, err = run(capsys, *flags)
         assert code == 2 and out == ""
-        assert "forge: error[bad-flags]" in err
+        [line] = err.splitlines()
+        assert line.startswith("forge: error[bad-flags] ")
 
     def test_rhs_singularity_exit_1(self, capsys, monkeypatch):
         # start the small body exactly on the large one: arenstorf_rhs raises

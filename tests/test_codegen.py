@@ -6,62 +6,41 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rkforge
 from rkforge import shipped_methods
 from rkforge.codegen import (
-    GeneratedModule,
     TemplateError,
-    VARIANTS,
+    check_template,
     format_manifest,
     generate_module_set,
-    load_templates,
     render_method_module,
-    render_solver_source,
 )
 from rkforge.generated import METHODS
 from rkforge.stepcontrol import WIDE_N, Tolerances, adaptive_integrate
 from rkforge.tableau import parse_method_file
 from test_tableau import SAMPLE, sample_tableau
 
+TEMPLATE = Path(rkforge.__file__).parent / "templates" / "solver.py.tmpl"
+
 
 class TestTemplates:
     def test_default_templates_load(self):
-        ts = load_templates()
-        assert tuple(ts.adaptive_sections) == ("prelude", "trajectory", "last", "info")
-        assert tuple(ts.fixed_sections) == ("fixed_trajectory", "fixed_last")
+        # one packaged template, without section markers, that passes the check
+        assert [p.name for p in TEMPLATE.parent.glob("*.tmpl")] == [TEMPLATE.name]
+        text = TEMPLATE.read_text()
+        assert "#::" not in text
+        assert check_template(text) == text
 
-    def test_unknown_placeholder_rejected(self, tmp_path):
-        bad = tmp_path / "adaptive.tmpl"
-        good = load_templates()
-        src = Path(str(__import__("rkforge").__path__[0])) / "templates" / "adaptive.py.tmpl"
-        bad.write_text(src.read_text() + "\n# {{mystery}}\n")
+    def test_unknown_placeholder_rejected(self):
         with pytest.raises(TemplateError, match="mystery"):
-            load_templates(adaptive_path=bad)
+            check_template(TEMPLATE.read_text() + "\n# {{mystery}}\n")
 
-    def test_missing_required_placeholder_rejected(self, tmp_path):
-        bad = tmp_path / "adaptive.tmpl"
-        src = Path(str(__import__("rkforge").__path__[0])) / "templates" / "adaptive.py.tmpl"
-        bad.write_text(src.read_text().replace("{{y_hat_update}}", "0"))
+    def test_missing_required_placeholder_rejected(self):
         with pytest.raises(TemplateError, match="y_hat_update"):
-            load_templates(adaptive_path=bad)
-
-    def test_bad_sections_rejected(self, tmp_path):
-        bad = tmp_path / "fixed.tmpl"
-        bad.write_text("#:: section wrong\ndef x(): pass\n")
-        with pytest.raises(TemplateError, match="sections"):
-            load_templates(fixed_path=bad)
+            check_template(TEMPLATE.read_text().replace("{{y_hat_update}}", "0"))
 
 
 class TestRenderSolverSource:
-    def test_five_variants(self):
-        modules = render_solver_source(sample_tableau())
-        assert tuple(m.variant for m in modules) == VARIANTS
-        assert all(isinstance(m, GeneratedModule) for m in modules)
-        assert all(m.method_name == "sample3" for m in modules)
-
-    def test_each_variant_compiles(self):
-        for m in render_solver_source(sample_tableau()):
-            compile(m.source, f"<{m.variant}>", "exec")
-
     def test_sample_stage_structure(self):
         src = render_method_module(sample_tableau())
         # stage 2 references only k1 (a21 = 1)
@@ -96,7 +75,18 @@ class TestRenderSolverSource:
                          a=t.a, b=t.b, b_hat=t.b_hat,
                          c=(t.c[0], t.c[1], t.c[2] + 1))
         with pytest.raises(ValueError, match="invalid"):
-            render_solver_source(broken)
+            render_method_module(broken)
+
+    def test_description_with_placeholder_syntax(self, tmp_path):
+        # method text is substituted, never rescanned for placeholders
+        t = sample_tableau()
+        braced = type(t)(name=t.name, description="uses {{b}} as written",
+                         s=t.s, p=t.p, p_hat=t.p_hat, a=t.a, b=t.b,
+                         b_hat=t.b_hat, c=t.c)
+        generate_module_set([braced], tmp_path)
+        src = (tmp_path / "sample3.py").read_text()
+        assert "uses {{b}} as written" in src
+        compile(src, "sample3.py", "exec")
 
     def test_zero_elision_everywhere(self):
         for t in shipped_methods():
@@ -194,15 +184,23 @@ class TestVariantConsistency:
         assert np.array_equal(log.accepted_t, traj.times[1:])
 
     def test_variant_source_executes_standalone(self):
-        import numpy as np
-        [traj_mod] = [m for m in render_solver_source(sample_tableau())
-                      if m.variant == "adaptive-last"]
+        # the one rendered module runs all five drivers on y' = y over [0, 1]
         ns = {}
-        exec(compile(traj_mod.source, "<adaptive-last>", "exec"), ns)
-        t_n, y_n = ns["sample3_last"](lambda t, y: np.asarray(y), 1e-6, 1e-6,
-                                      np.array([1.0]), 0.0, 1.0)
-        assert t_n == 1.0
-        assert abs(float(y_n[0]) - np.e) < 1e-4
+        exec(compile(render_method_module(sample_tableau()), "<sample3>", "exec"), ns)
+        f = lambda t, y: np.asarray(y)
+        adaptive = (f, 1e-6, 1e-6, np.array([1.0]), 0.0, 1.0)
+        fixed = (f, 1e-3, np.array([1.0]), 0.0, 1.0)
+        traj = ns["sample3"](*adaptive)
+        log = ns["sample3_info"](*adaptive)
+        fixed_traj = ns["sample3_fixed"](*fixed)
+        ends = [(traj.times[-1], traj.states[-1]),
+                ns["sample3_last"](*adaptive),
+                (fixed_traj.times[-1], fixed_traj.states[-1]),
+                ns["sample3_fixed_last"](*fixed)]
+        for t_n, y_n in ends:
+            assert t_n == 1.0
+            assert abs(float(y_n[0]) - np.e) < 1e-4
+        assert np.array_equal(log.accepted_t, traj.times[1:])
 
 
 class TestDimensionSwitch:

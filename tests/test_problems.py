@@ -14,7 +14,6 @@ from rkforge.problems import (
     benchmark_case,
     brusselator_rhs,
     closure_error,
-    evaluate_rhs,
     rigid_body_rhs,
     vdp_rhs,
 )
@@ -35,14 +34,6 @@ class TestRhsValues:
         s3 = math.sqrt(3.0)
         out = vdp_rhs(0.0, np.array([0.0, s3]))
         assert out == pytest.approx([s3, s3], abs=0.0)
-
-    def test_evaluate_rhs_dispatch(self):
-        assert evaluate_rhs("brusselator", 0.0, [1.5, 3.0]) == pytest.approx([1.75, -2.25])
-        assert evaluate_rhs("arenstorf:1", 0.0, arenstorf_initials(1)[0]).shape == (4,)
-        with pytest.raises(ValueError):
-            evaluate_rhs("lorenz", 0.0, [1.0])
-        with pytest.raises(ValueError):
-            evaluate_rhs("vdp", 0.0, [1.0, 2.0, 3.0])
 
 
 class TestArenstorf:
@@ -73,7 +64,6 @@ class TestArenstorf:
         sample = state + np.array([0.01, -0.02, 0.03, 0.04])
         want = arenstorf_rhs(0.0, sample, params)
         assert np.array_equal(benchmark_case("arenstorf:3").problem.rhs(0.0, sample), want)
-        assert np.array_equal(evaluate_rhs("arenstorf:3", 0.0, sample), want)
         assert not np.array_equal(arenstorf_rhs(0.0, sample), want)
 
     def test_initial_r1(self):

@@ -138,7 +138,7 @@ class TestController:
             0.1 / (2.0 ** 0.1 / 0.9), rel=1e-12)
         assert rescale_rejected(0.1, 1e12, cp) == pytest.approx(0.1 / 5.0, rel=1e-12)
         cp8 = ControllerParams(f_s=0.8, f_min=0.1, f_max=5.0,
-                               alpha_exp=0.1, beta_exp=0.1, p_ctrl=4)
+                               alpha_exp=0.1, beta_exp=0.1)
         assert rescale_rejected(0.1, 2.0, cp8) == pytest.approx(
             0.1 / (2.0 ** 0.1 / 0.8), rel=1e-12)
 

@@ -10,7 +10,6 @@ from rkforge.tableau import (
     MethodDimensionError,
     MethodParseError,
     MethodSchemaError,
-    format_rational,
     parse_method_file,
     parse_rational,
     render_coefficient_literal,
@@ -65,7 +64,7 @@ class TestParseRational:
         for _ in range(500):
             r = Fraction(rng.randint(-10 ** 9, 10 ** 9),
                          rng.randint(1, 10 ** 9))
-            assert parse_rational(format_rational(r)) == r
+            assert parse_rational(str(r)) == r
 
 
 class TestParseMethodFile:
