@@ -1,3 +1,4 @@
+import ast
 import re
 import sys
 import zlib
@@ -41,6 +42,23 @@ class TestTemplates:
 
 
 class TestRenderSolverSource:
+    DRIVERS = ("sample3", "sample3_last", "sample3_info",
+               "sample3_fixed", "sample3_fixed_last")
+
+    def test_five_variants(self):
+        # the one module defines the five drivers and no other public function
+        tree = ast.parse(render_method_module(sample_tableau()))
+        public = tuple(n.name for n in tree.body
+                       if isinstance(n, ast.FunctionDef) and not n.name.startswith("_"))
+        assert public == self.DRIVERS
+
+    def test_each_variant_compiles(self):
+        ns = {}
+        exec(compile(render_method_module(sample_tableau()), "<sample3>", "exec"), ns)
+        for name in self.DRIVERS:
+            assert callable(ns[name]), name
+            assert ns[name].__code__.co_filename == "<sample3>", name
+
     def test_sample_stage_structure(self):
         src = render_method_module(sample_tableau())
         # stage 2 references only k1 (a21 = 1)
