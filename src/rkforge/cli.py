@@ -46,6 +46,19 @@ def _runtime_error(code: str, message: str) -> CliError:
     return CliError(code, message, 1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors take the one-line error path."""
+
+    def error(self, message):
+        raise _usage_error("bad-flags", message)
+
+
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -228,60 +241,60 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    registry = _generated_registry()
-    names = args.method or sorted(registry)
-    if args.kind == "arenstorf-table":
-        case = _case(f"arenstorf:{args.group}")
-        tol = _tolerances(args.atol, args.rtol)
-        rows = ["method,status,closure_error"]
-        statuses = []
-        for name in names:
-            module = registry.get(name)
-            if module is None:
-                rows.append(f"{name},missing,")
-                statuses.append("missing")
-                continue
-            try:
-                _, y_n = adaptive_integrate(
-                    module.KERNEL, case.problem, tol,
-                    case.y_0, case.t_start, case.t_stop, last=True,
-                    options=IntegrationOptions(max_steps=args.max_steps))
-                rows.append(f"{name},ok,{_fmt(closure_error(y_n, case.y_0))}")
-                statuses.append("ok")
-            except IntegrationError as exc:
-                rows.append(f"{name},failed,")
-                statuses.append("failed")
-                print(f"forge: warning[{name}] {exc}", file=sys.stderr)
-        _write_output("\n".join(rows), args.output)
-        return 0 if all(s == "ok" for s in statuses) else 1
+# The flags only `forge report --kind arenstorf-table` takes, with defaults.
+_ARENSTORF_DEFAULTS = {"group": 1, "atol": 1e-13, "rtol": 0.0, "max_steps": 10 ** 6}
 
-    # convergence study on y' = y over [0, 1]
-    hs = (0.1, 0.05, 0.025, 0.0125)
-    rows = ["method,order,slope," + ",".join(f"err_h{_fmt(h)}" for h in hs)]
-    statuses = []
-    for name in names:
+
+def cmd_report(args) -> int:
+    given = [name for name in _ARENSTORF_DEFAULTS if name in vars(args)]
+    if given and args.kind != "arenstorf-table":
+        named = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise _usage_error("bad-flags", f"{named}: only for --kind arenstorf-table")
+    if args.kind == "arenstorf-table":
+        flags = {name: getattr(args, name, default)
+                 for name, default in _ARENSTORF_DEFAULTS.items()}
+        case = _case(f"arenstorf:{flags['group']}")
+        tol = _tolerances(flags["atol"], flags["rtol"])
+        options = IntegrationOptions(max_steps=flags["max_steps"])
+        header, missing = "method,status,closure_error", "missing,"
+
+        def cells(name, module):
+            try:
+                _, y_n = adaptive_integrate(module.KERNEL, case.problem, tol, case.y_0,
+                                            case.t_start, case.t_stop, last=True,
+                                            options=options)
+            except IntegrationError as exc:
+                print(f"forge: warning[{name}] {exc}", file=sys.stderr)
+                return "failed,", False
+            return f"ok,{_fmt(closure_error(y_n, case.y_0))}", True
+    else:
+        # convergence study on y' = y over [0, 1]
+        hs = (0.1, 0.05, 0.025, 0.0125)
+        header = "method,order,slope," + ",".join(f"err_h{_fmt(h)}" for h in hs)
+        missing = ",,,,,"
+
+        def cells(name, module):
+            errs = []
+            for h in hs:
+                _, y_n = fixed_integrate(module.KERNEL, lambda t, y: y, h,
+                                         np.array([1.0]), 0.0, 1.0, last=True)
+                errs.append(abs(float(y_n[0]) - np.e))
+            slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+            return (f"{module.KERNEL.order},{_fmt(slope)},"
+                    + ",".join(_fmt(e) for e in errs)), True
+
+    registry = _generated_registry()
+    rows, all_ok = [header], True
+    for name in args.method or sorted(registry):
         module = registry.get(name)
-        if module is None:
-            rows.append(f"{name},,,,,,")
-            statuses.append("missing")
-            continue
-        errs = []
-        for h in hs:
-            _, y_n = fixed_integrate(module.KERNEL, lambda t, y: y, h,
-                                     np.array([1.0]), 0.0, 1.0, last=True)
-            errs.append(abs(float(y_n[0]) - np.e))
-        slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-        rows.append(f"{name},{module.KERNEL.order},{_fmt(slope)},"
-                    + ",".join(_fmt(e) for e in errs))
-        statuses.append("ok")
+        row, ok = (missing, False) if module is None else cells(name, module)
+        rows.append(f"{name},{row}")
+        all_ok = all_ok and ok
     _write_output("\n".join(rows), args.output)
-    return 0 if all(s == "ok" for s in statuses) else 1
+    return 0 if all_ok else 1
 
 
 def cmd_bench(args) -> int:
-    if args.steps < 1:
-        raise _usage_error("bad-flags", f"--steps must be positive, got {args.steps!r}")
     module = _solver(args.method)
     case = _case("brusselator")
     from . import shipped_methods
@@ -313,7 +326,7 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="forge",
         description="Embedded Runge-Kutta solver forge: validate method files, "
                     "generate specialized solvers, run integrations, and emit "
@@ -345,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h0", type=float, default=None, help="initial adaptive step")
     p.add_argument("--t0", type=float, default=None)
     p.add_argument("--t1", type=float, default=None)
-    p.add_argument("--max-steps", type=int, default=10 ** 6)
+    p.add_argument("--max-steps", type=_positive_int, default=10 ** 6)
     p.add_argument("--output", default=None)
     p.add_argument("--output-kind", choices=("trajectory", "last", "steplog"),
                    default="trajectory")
@@ -359,25 +372,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("arenstorf-table", "convergence"), required=True)
     p.add_argument("--method", action="append", default=None,
                    help="repeatable; default: every generated method")
-    p.add_argument("--group", type=int, default=1, choices=(1, 2, 3))
-    p.add_argument("--atol", type=float, default=1e-13)
-    p.add_argument("--rtol", type=float, default=0.0)
-    p.add_argument("--max-steps", type=int, default=10 ** 6)
+
+    arenstorf_only = {"default": argparse.SUPPRESS, "help": "arenstorf-table only"}
+    p.add_argument("--group", type=int, choices=(1, 2, 3), **arenstorf_only)
+    p.add_argument("--atol", type=float, **arenstorf_only)
+    p.add_argument("--rtol", type=float, **arenstorf_only)
+    p.add_argument("--max-steps", type=_positive_int, **arenstorf_only)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("bench", help="generated vs generic kernel throughput")
     p.add_argument("--method", default="ERK43b")
-    p.add_argument("--steps", type=int, default=10 ** 5)
+    p.add_argument("--steps", type=_positive_int, default=10 ** 5)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"forge: error[{exc.code}] {exc}", file=sys.stderr)

@@ -3,8 +3,10 @@
 Each method yields one Python module whose step kernel is fully unrolled:
 every nonzero coefficient becomes a named scalar constant (A_i_j, B_j, BH_j,
 C_i) rendered at 17 significant digits, and terms with zero coefficients are
-simply absent.  One template, templates/solver.py.tmpl, is declarative text
-with {{name}} placeholders, read and checked once; all expansion logic
+simply absent.  Systems of more than stepcontrol.WIDE_N components go to the
+shared array-driven kernel, stepcontrol.array_step, with the same constants
+laid out as arrays.  One template, templates/solver.py.tmpl, is declarative
+text with {{name}} placeholders, read and checked once; all expansion logic
 (per-stage loops, zero elision) lives in this renderer, which fills every
 placeholder in a single pass.
 
@@ -19,6 +21,7 @@ import os
 import re
 import tempfile
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 from .tableau import ButcherTableau, render_coefficient_literal, validate_tableau
@@ -37,8 +40,7 @@ _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
 # other.
 _PLACEHOLDERS = frozenset({
     "method_name", "order", "embedded_order", "stages", "description",
-    "constants", "stage_lines", "y_update", "y_hat_update",
-    "wide_stage_lines", "wide_y_update", "wide_y_hat_update",
+    "constants", "arrays", "stage_lines", "y_update", "y_hat_update",
 })
 
 
@@ -65,62 +67,56 @@ def _template() -> str:
     return check_template(path.read_text(encoding="utf-8"))
 
 
-def _constant_lines(t: ButcherTableau) -> str:
-    lines = []
-    for i in range(t.s):
-        for j in range(i):
-            if t.a[i][j] != 0:
-                lines.append(f"A_{i + 1}_{j + 1} = "
-                             f"{render_coefficient_literal(t.a[i][j])}")
-    for j in range(t.s):
-        if t.b[j] != 0:
-            lines.append(f"B_{j + 1} = {render_coefficient_literal(t.b[j])}")
-    for j in range(t.s):
-        if t.b_hat[j] != 0:
-            lines.append(f"BH_{j + 1} = {render_coefficient_literal(t.b_hat[j])}")
-    for i in range(1, t.s):
-        if t.c[i] != 0:
-            lines.append(f"C_{i + 1} = {render_coefficient_literal(t.c[i])}")
-    return "\n".join(lines)
+def _names(t: ButcherTableau):
+    """The constant name of every coefficient in the (a, b, b_hat, c) layout,
+    or None where it is zero (a valid tableau's upper triangle of a and its
+    c_1 are all None)."""
+    def row(values, prefix):
+        return [f"{prefix}_{j + 1}" if v != 0 else None for j, v in enumerate(values)]
+
+    return ([row(r, f"A_{i + 1}") for i, r in enumerate(t.a)],
+            row(t.b, "B"), row(t.b_hat, "BH"), row(t.c, "C"))
 
 
-def _increment(weights, prefix: str, wide: bool) -> str | None:
+def _constant_lines(t: ButcherTableau, a, b, b_hat, c) -> str:
+    pairs = zip(chain(*a, b, b_hat, c), chain(*t.a, t.b, t.b_hat, t.c))
+    return "\n".join(f"{n} = {render_coefficient_literal(v)}" for n, v in pairs if n)
+
+
+def _arrays(a, b, b_hat, c) -> str:
+    """The named constants as array_step's coefficient arrays, 0.0 for zeros."""
+    def array(names):
+        return ", ".join(n or "0.0" for n in names)
+
+    rows = "".join(f"        [{array(r)}],\n" for r in a)
+    return f"    np.array([\n{rows}    ]),\n" + "\n".join(
+        f"    np.array([{array(v)}])," for v in (b, b_hat, c))
+
+
+def _increment(names) -> str | None:
     """y + h * (weighted sum of stages), or None when every weight is zero.
 
     Zero weights are elided and the terms are summed left to right in stage
-    order.  The float-list form combines one component at a time; the wide
-    form uses whole-array expressions.
+    order.
     """
-    index = "" if wide else "[a]"
-    terms = [f"{prefix}_{j + 1} * k{j + 1}{index}"
-             for j, w in enumerate(weights) if w != 0]
+    terms = [f"{n} * k{j + 1}[a]" for j, n in enumerate(names) if n]
     if not terms:
         return None
-    if wide:
-        return f"y + h * ({' + '.join(terms)})"
     return f"np.array([yl[a] + h * ({' + '.join(terms)}) for a in r])"
 
 
-def _stage_lines(t: ButcherTableau, wide: bool) -> str:
+def _stage_lines(a, c) -> str:
     """Fully unrolled stage evaluations, one line per stage.
 
-    The float-list body keeps stage values as plain float lists and combines
-    them componentwise in Python, which beats array arithmetic on small
-    systems, where numpy's per-operation dispatch dominates.  Above the
-    crossover stepcontrol.WIDE_N the wide body's whole-array expressions win.
-    Elementwise numpy arithmetic rounds exactly like Python floats and both
-    bodies share term order, so they return bit-identical results.  The wide
-    body copies every stage value because an rhs may return the same buffer
-    on each call.
+    Stage values are kept as plain float lists and combined componentwise in
+    Python, which beats array arithmetic on small systems, where numpy's
+    per-operation dispatch dominates.  Above stepcontrol.WIDE_N components
+    the generated _step calls stepcontrol.array_step instead.
     """
-    def evaluate(call):
-        return f"np.array({call}, dtype=float)" if wide else f"{call}.tolist()"
-
-    lines = [f"    k1 = {evaluate('f(t, y)')}"]
-    for i in range(1, t.s):
-        time = f"t + C_{i + 1} * h" if t.c[i] != 0 else "t"
-        state = _increment(t.a[i][:i], f"A_{i + 1}", wide) or "y"
-        lines.append(f"    k{i + 1} = {evaluate(f'f({time}, {state})')}")
+    lines = ["    k1 = f(t, y).tolist()"]
+    for i in range(1, len(a)):
+        time = f"t + {c[i]} * h" if c[i] else "t"
+        lines.append(f"    k{i + 1} = f({time}, {_increment(a[i]) or 'y'}).tolist()")
     return "\n".join(lines)
 
 
@@ -133,19 +129,18 @@ def _render(text: str, values: dict) -> str:
 
 
 def _placeholder_values(t: ButcherTableau) -> dict:
+    a, b, b_hat, c = names = _names(t)
     return {
         "method_name": t.name,
         "order": str(t.p),
         "embedded_order": str(t.p_hat),
         "stages": str(t.s),
         "description": _docstring_safe(t.description),
-        "constants": _constant_lines(t),
-        "stage_lines": _stage_lines(t, wide=False),
-        "y_update": _increment(t.b, "B", wide=False),
-        "y_hat_update": _increment(t.b_hat, "BH", wide=False),
-        "wide_stage_lines": _stage_lines(t, wide=True),
-        "wide_y_update": _increment(t.b, "B", wide=True),
-        "wide_y_hat_update": _increment(t.b_hat, "BH", wide=True),
+        "constants": _constant_lines(t, *names),
+        "arrays": _arrays(*names),
+        "stage_lines": _stage_lines(a, c),
+        "y_update": _increment(b),
+        "y_hat_update": _increment(b_hat),
     }
 
 
@@ -172,14 +167,6 @@ def _index_source(methods) -> str:
     for t in methods:
         lines.append(f'    "{t.name}": {t.name.lower()},')
     lines.append("}")
-    lines.append("")
-    lines.append("")
-    lines.append("def get_method(name):")
-    lines.append('    """Generated solver module for a method name."""')
-    lines.append("    try:")
-    lines.append("        return METHODS[name]")
-    lines.append("    except KeyError:")
-    lines.append("        raise KeyError(f\"no generated solver named {name!r}\") from None")
     lines.append("")
     return "\n".join(lines)
 

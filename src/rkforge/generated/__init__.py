@@ -23,11 +23,3 @@ METHODS = {
     "Fehlberg78B": fehlberg78b,
     "DOPRI8": dopri8,
 }
-
-
-def get_method(name):
-    """Generated solver module for a method name."""
-    try:
-        return METHODS[name]
-    except KeyError:
-        raise KeyError(f"no generated solver named {name!r}") from None

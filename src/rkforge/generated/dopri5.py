@@ -12,6 +12,7 @@ from rkforge.stepcontrol import (
     StepKernel,
     Tolerances,
     adaptive_integrate,
+    array_step,
     fixed_integrate,
     integrate_info,
 )
@@ -54,18 +55,33 @@ C_5 = 0.88888888888888884
 C_6 = 1.0
 C_7 = 1.0
 
+# The constants as array_step's coefficient arrays (a, b, b_hat, c).
+_ARRAYS = (
+    np.array([
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [A_2_1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [A_3_1, A_3_2, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [A_4_1, A_4_2, A_4_3, 0.0, 0.0, 0.0, 0.0],
+        [A_5_1, A_5_2, A_5_3, A_5_4, 0.0, 0.0, 0.0],
+        [A_6_1, A_6_2, A_6_3, A_6_4, A_6_5, 0.0, 0.0],
+        [A_7_1, 0.0, A_7_3, A_7_4, A_7_5, A_7_6, 0.0],
+    ]),
+    np.array([B_1, 0.0, B_3, B_4, B_5, B_6, 0.0]),
+    np.array([BH_1, 0.0, BH_3, BH_4, BH_5, BH_6, BH_7]),
+    np.array([0.0, C_2, C_3, C_4, C_5, C_6, C_7]),
+)
+
 
 def _step(f, t, y, h):
     """One embedded step from (t, y); returns the main and companion updates.
 
     y is a float array and f must return one (the drivers guarantee both).
-    Up to WIDE_N components the stage arithmetic runs on plain floats, which
-    is faster than array operations for small systems; above it the same
-    unrolled arithmetic runs as whole-array expressions.  Both bodies round
-    identically, so the result does not depend on which one runs.
+    Up to WIDE_N components the unrolled stage arithmetic runs on plain
+    floats, which is faster than array operations for small systems; above
+    it the shared array-driven kernel takes over.
     """
     if y.shape[0] > WIDE_N:
-        return _step_wide(f, t, y, h)
+        return array_step(_ARRAYS, f, t, y, h)[:2]
     r = range(y.shape[0])
     yl = y.tolist()
     k1 = f(t, y).tolist()
@@ -77,24 +93,6 @@ def _step(f, t, y, h):
     k7 = f(t + C_7 * h, np.array([yl[a] + h * (A_7_1 * k1[a] + A_7_3 * k3[a] + A_7_4 * k4[a] + A_7_5 * k5[a] + A_7_6 * k6[a]) for a in r])).tolist()
     y_next = np.array([yl[a] + h * (B_1 * k1[a] + B_3 * k3[a] + B_4 * k4[a] + B_5 * k5[a] + B_6 * k6[a]) for a in r])
     y_hat_next = np.array([yl[a] + h * (BH_1 * k1[a] + BH_3 * k3[a] + BH_4 * k4[a] + BH_5 * k5[a] + BH_6 * k6[a] + BH_7 * k7[a]) for a in r])
-    return y_next, y_hat_next
-
-
-def _step_wide(f, t, y, h):
-    """_step for systems of more than WIDE_N components, on whole arrays.
-
-    Each stage value is copied, so an rhs may return the same buffer on
-    every call.
-    """
-    k1 = np.array(f(t, y), dtype=float)
-    k2 = np.array(f(t + C_2 * h, y + h * (A_2_1 * k1)), dtype=float)
-    k3 = np.array(f(t + C_3 * h, y + h * (A_3_1 * k1 + A_3_2 * k2)), dtype=float)
-    k4 = np.array(f(t + C_4 * h, y + h * (A_4_1 * k1 + A_4_2 * k2 + A_4_3 * k3)), dtype=float)
-    k5 = np.array(f(t + C_5 * h, y + h * (A_5_1 * k1 + A_5_2 * k2 + A_5_3 * k3 + A_5_4 * k4)), dtype=float)
-    k6 = np.array(f(t + C_6 * h, y + h * (A_6_1 * k1 + A_6_2 * k2 + A_6_3 * k3 + A_6_4 * k4 + A_6_5 * k5)), dtype=float)
-    k7 = np.array(f(t + C_7 * h, y + h * (A_7_1 * k1 + A_7_3 * k3 + A_7_4 * k4 + A_7_5 * k5 + A_7_6 * k6)), dtype=float)
-    y_next = y + h * (B_1 * k1 + B_3 * k3 + B_4 * k4 + B_5 * k5 + B_6 * k6)
-    y_hat_next = y + h * (BH_1 * k1 + BH_3 * k3 + BH_4 * k4 + BH_5 * k5 + BH_6 * k6 + BH_7 * k7)
     return y_next, y_hat_next
 
 

@@ -12,6 +12,7 @@ from rkforge.stepcontrol import (
     StepKernel,
     Tolerances,
     adaptive_integrate,
+    array_step,
     fixed_integrate,
     integrate_info,
 )
@@ -105,18 +106,39 @@ C_11 = 0.9246562776405044
 C_12 = 1.0
 C_13 = 1.0
 
+# The constants as array_step's coefficient arrays (a, b, b_hat, c).
+_ARRAYS = (
+    np.array([
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [A_2_1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [A_3_1, A_3_2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [A_4_1, 0.0, A_4_3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [A_5_1, 0.0, A_5_3, A_5_4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [A_6_1, 0.0, 0.0, A_6_4, A_6_5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [A_7_1, 0.0, 0.0, A_7_4, A_7_5, A_7_6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [A_8_1, 0.0, 0.0, A_8_4, A_8_5, A_8_6, A_8_7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [A_9_1, 0.0, 0.0, A_9_4, A_9_5, A_9_6, A_9_7, A_9_8, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [A_10_1, 0.0, 0.0, A_10_4, A_10_5, A_10_6, A_10_7, A_10_8, A_10_9, 0.0, 0.0, 0.0, 0.0],
+        [A_11_1, 0.0, 0.0, A_11_4, A_11_5, A_11_6, A_11_7, A_11_8, A_11_9, A_11_10, 0.0, 0.0, 0.0],
+        [A_12_1, 0.0, 0.0, A_12_4, A_12_5, A_12_6, A_12_7, A_12_8, A_12_9, A_12_10, A_12_11, 0.0, 0.0],
+        [A_13_1, 0.0, 0.0, A_13_4, A_13_5, A_13_6, A_13_7, A_13_8, A_13_9, A_13_10, A_13_11, 0.0, 0.0],
+    ]),
+    np.array([B_1, 0.0, 0.0, 0.0, 0.0, B_6, B_7, B_8, B_9, B_10, B_11, B_12, B_13]),
+    np.array([BH_1, 0.0, 0.0, 0.0, 0.0, BH_6, BH_7, BH_8, BH_9, BH_10, BH_11, BH_12, 0.0]),
+    np.array([0.0, C_2, C_3, C_4, C_5, C_6, C_7, C_8, C_9, C_10, C_11, C_12, C_13]),
+)
+
 
 def _step(f, t, y, h):
     """One embedded step from (t, y); returns the main and companion updates.
 
     y is a float array and f must return one (the drivers guarantee both).
-    Up to WIDE_N components the stage arithmetic runs on plain floats, which
-    is faster than array operations for small systems; above it the same
-    unrolled arithmetic runs as whole-array expressions.  Both bodies round
-    identically, so the result does not depend on which one runs.
+    Up to WIDE_N components the unrolled stage arithmetic runs on plain
+    floats, which is faster than array operations for small systems; above
+    it the shared array-driven kernel takes over.
     """
     if y.shape[0] > WIDE_N:
-        return _step_wide(f, t, y, h)
+        return array_step(_ARRAYS, f, t, y, h)[:2]
     r = range(y.shape[0])
     yl = y.tolist()
     k1 = f(t, y).tolist()
@@ -134,30 +156,6 @@ def _step(f, t, y, h):
     k13 = f(t + C_13 * h, np.array([yl[a] + h * (A_13_1 * k1[a] + A_13_4 * k4[a] + A_13_5 * k5[a] + A_13_6 * k6[a] + A_13_7 * k7[a] + A_13_8 * k8[a] + A_13_9 * k9[a] + A_13_10 * k10[a] + A_13_11 * k11[a]) for a in r])).tolist()
     y_next = np.array([yl[a] + h * (B_1 * k1[a] + B_6 * k6[a] + B_7 * k7[a] + B_8 * k8[a] + B_9 * k9[a] + B_10 * k10[a] + B_11 * k11[a] + B_12 * k12[a] + B_13 * k13[a]) for a in r])
     y_hat_next = np.array([yl[a] + h * (BH_1 * k1[a] + BH_6 * k6[a] + BH_7 * k7[a] + BH_8 * k8[a] + BH_9 * k9[a] + BH_10 * k10[a] + BH_11 * k11[a] + BH_12 * k12[a]) for a in r])
-    return y_next, y_hat_next
-
-
-def _step_wide(f, t, y, h):
-    """_step for systems of more than WIDE_N components, on whole arrays.
-
-    Each stage value is copied, so an rhs may return the same buffer on
-    every call.
-    """
-    k1 = np.array(f(t, y), dtype=float)
-    k2 = np.array(f(t + C_2 * h, y + h * (A_2_1 * k1)), dtype=float)
-    k3 = np.array(f(t + C_3 * h, y + h * (A_3_1 * k1 + A_3_2 * k2)), dtype=float)
-    k4 = np.array(f(t + C_4 * h, y + h * (A_4_1 * k1 + A_4_3 * k3)), dtype=float)
-    k5 = np.array(f(t + C_5 * h, y + h * (A_5_1 * k1 + A_5_3 * k3 + A_5_4 * k4)), dtype=float)
-    k6 = np.array(f(t + C_6 * h, y + h * (A_6_1 * k1 + A_6_4 * k4 + A_6_5 * k5)), dtype=float)
-    k7 = np.array(f(t + C_7 * h, y + h * (A_7_1 * k1 + A_7_4 * k4 + A_7_5 * k5 + A_7_6 * k6)), dtype=float)
-    k8 = np.array(f(t + C_8 * h, y + h * (A_8_1 * k1 + A_8_4 * k4 + A_8_5 * k5 + A_8_6 * k6 + A_8_7 * k7)), dtype=float)
-    k9 = np.array(f(t + C_9 * h, y + h * (A_9_1 * k1 + A_9_4 * k4 + A_9_5 * k5 + A_9_6 * k6 + A_9_7 * k7 + A_9_8 * k8)), dtype=float)
-    k10 = np.array(f(t + C_10 * h, y + h * (A_10_1 * k1 + A_10_4 * k4 + A_10_5 * k5 + A_10_6 * k6 + A_10_7 * k7 + A_10_8 * k8 + A_10_9 * k9)), dtype=float)
-    k11 = np.array(f(t + C_11 * h, y + h * (A_11_1 * k1 + A_11_4 * k4 + A_11_5 * k5 + A_11_6 * k6 + A_11_7 * k7 + A_11_8 * k8 + A_11_9 * k9 + A_11_10 * k10)), dtype=float)
-    k12 = np.array(f(t + C_12 * h, y + h * (A_12_1 * k1 + A_12_4 * k4 + A_12_5 * k5 + A_12_6 * k6 + A_12_7 * k7 + A_12_8 * k8 + A_12_9 * k9 + A_12_10 * k10 + A_12_11 * k11)), dtype=float)
-    k13 = np.array(f(t + C_13 * h, y + h * (A_13_1 * k1 + A_13_4 * k4 + A_13_5 * k5 + A_13_6 * k6 + A_13_7 * k7 + A_13_8 * k8 + A_13_9 * k9 + A_13_10 * k10 + A_13_11 * k11)), dtype=float)
-    y_next = y + h * (B_1 * k1 + B_6 * k6 + B_7 * k7 + B_8 * k8 + B_9 * k9 + B_10 * k10 + B_11 * k11 + B_12 * k12 + B_13 * k13)
-    y_hat_next = y + h * (BH_1 * k1 + BH_6 * k6 + BH_7 * k7 + BH_8 * k8 + BH_9 * k9 + BH_10 * k10 + BH_11 * k11 + BH_12 * k12)
     return y_next, y_hat_next
 
 

@@ -12,6 +12,7 @@ from rkforge.stepcontrol import (
     StepKernel,
     Tolerances,
     adaptive_integrate,
+    array_step,
     fixed_integrate,
     integrate_info,
 )
@@ -36,18 +37,31 @@ C_3 = 0.5
 C_4 = 1.0
 C_5 = 1.0
 
+# The constants as array_step's coefficient arrays (a, b, b_hat, c).
+_ARRAYS = (
+    np.array([
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [A_2_1, 0.0, 0.0, 0.0, 0.0],
+        [0.0, A_3_2, 0.0, 0.0, 0.0],
+        [0.0, 0.0, A_4_3, 0.0, 0.0],
+        [A_5_1, A_5_2, A_5_3, A_5_4, 0.0],
+    ]),
+    np.array([B_1, B_2, B_3, B_4, 0.0]),
+    np.array([BH_1, BH_2, BH_3, 0.0, BH_5]),
+    np.array([0.0, C_2, C_3, C_4, C_5]),
+)
+
 
 def _step(f, t, y, h):
     """One embedded step from (t, y); returns the main and companion updates.
 
     y is a float array and f must return one (the drivers guarantee both).
-    Up to WIDE_N components the stage arithmetic runs on plain floats, which
-    is faster than array operations for small systems; above it the same
-    unrolled arithmetic runs as whole-array expressions.  Both bodies round
-    identically, so the result does not depend on which one runs.
+    Up to WIDE_N components the unrolled stage arithmetic runs on plain
+    floats, which is faster than array operations for small systems; above
+    it the shared array-driven kernel takes over.
     """
     if y.shape[0] > WIDE_N:
-        return _step_wide(f, t, y, h)
+        return array_step(_ARRAYS, f, t, y, h)[:2]
     r = range(y.shape[0])
     yl = y.tolist()
     k1 = f(t, y).tolist()
@@ -57,22 +71,6 @@ def _step(f, t, y, h):
     k5 = f(t + C_5 * h, np.array([yl[a] + h * (A_5_1 * k1[a] + A_5_2 * k2[a] + A_5_3 * k3[a] + A_5_4 * k4[a]) for a in r])).tolist()
     y_next = np.array([yl[a] + h * (B_1 * k1[a] + B_2 * k2[a] + B_3 * k3[a] + B_4 * k4[a]) for a in r])
     y_hat_next = np.array([yl[a] + h * (BH_1 * k1[a] + BH_2 * k2[a] + BH_3 * k3[a] + BH_5 * k5[a]) for a in r])
-    return y_next, y_hat_next
-
-
-def _step_wide(f, t, y, h):
-    """_step for systems of more than WIDE_N components, on whole arrays.
-
-    Each stage value is copied, so an rhs may return the same buffer on
-    every call.
-    """
-    k1 = np.array(f(t, y), dtype=float)
-    k2 = np.array(f(t + C_2 * h, y + h * (A_2_1 * k1)), dtype=float)
-    k3 = np.array(f(t + C_3 * h, y + h * (A_3_2 * k2)), dtype=float)
-    k4 = np.array(f(t + C_4 * h, y + h * (A_4_3 * k3)), dtype=float)
-    k5 = np.array(f(t + C_5 * h, y + h * (A_5_1 * k1 + A_5_2 * k2 + A_5_3 * k3 + A_5_4 * k4)), dtype=float)
-    y_next = y + h * (B_1 * k1 + B_2 * k2 + B_3 * k3 + B_4 * k4)
-    y_hat_next = y + h * (BH_1 * k1 + BH_2 * k2 + BH_3 * k3 + BH_5 * k5)
     return y_next, y_hat_next
 
 

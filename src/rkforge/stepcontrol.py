@@ -40,6 +40,7 @@ __all__ = [
     "DivergenceError",
     "interpreted_kernel",
     "erk_step_generic",
+    "array_step",
     "error_norm",
     "propose_step_size",
     "rescale_rejected",
@@ -174,10 +175,9 @@ class DivergenceError(IntegrationError):
     pass
 
 
-# Generated step kernels run their stage arithmetic on plain Python floats up
-# to this many components and as whole-array expressions above it.  Both
-# bodies round identically, so the choice affects speed only; the value is
-# the measured crossover of the two (see CHANGES.md for the sweep).
+# Generated step kernels run their unrolled stage arithmetic on plain Python
+# floats up to this many components and hand larger systems to array_step,
+# which is faster there (see CHANGES.md for the sweeps).
 WIDE_N = 16
 
 
@@ -202,13 +202,13 @@ def erk_step_generic(t: ButcherTableau, prob: ODEProblem, t_m: float,
     if h <= 0:
         raise ValueError("step size must be positive")
     y_m = np.asarray(y_m, dtype=float)
-    return _generic_step(_float_coefficients(t), _vectorized_rhs(prob, y_m.shape[0]),
-                         t_m, y_m, h)
+    return array_step(_float_coefficients(t), _vectorized_rhs(prob, y_m.shape[0]),
+                      t_m, y_m, h)
 
 
-def _generic_step(coefficients, f, t_m: float, y_m: np.ndarray, h: float):
-    """erk_step_generic on float coefficients and an rhs that returns (N,)
-    float arrays."""
+def array_step(coefficients, f, t_m: float, y_m: np.ndarray, h: float):
+    """The array-driven kernel: erk_step_generic on float coefficients
+    (a, b, b_hat, c) and an rhs that returns (N,) float arrays."""
     a, b, b_hat, c = coefficients
     k = np.empty((a.shape[0], y_m.shape[0]))
     k[0] = f(t_m, y_m)
@@ -231,7 +231,7 @@ def interpreted_kernel(t: ButcherTableau) -> StepKernel:
     coefficients = _float_coefficients(t)
 
     def step(f, t_m, y_m, h):
-        y_next, y_hat_next, _ = _generic_step(coefficients, f, t_m, y_m, h)
+        y_next, y_hat_next, _ = array_step(coefficients, f, t_m, y_m, h)
         return y_next, y_hat_next
 
     return StepKernel(name=t.name, order=t.p, stages=t.s, step=step)
@@ -283,10 +283,12 @@ def rescale_rejected(h_m: float, e_m: float, cp: ControllerParams) -> float:
     return h_m / min(cp.f_max, e_m ** cp.alpha_exp / cp.f_s)
 
 
-def _as_problem(f, y_0, name="") -> ODEProblem:
-    if isinstance(f, ODEProblem):
-        return f
-    return ODEProblem(dimension=len(y_0), rhs=f, name=name)
+def _as_problem(f, y_0) -> ODEProblem:
+    prob = f if isinstance(f, ODEProblem) else ODEProblem(len(y_0), f)
+    if prob.dimension != len(y_0):
+        raise ValueError(f"problem {prob.name!r} has dimension {prob.dimension}, "
+                         f"but y_0 has {len(y_0)} components")
+    return prob
 
 
 def _vectorized_rhs(prob: ODEProblem, n: int):

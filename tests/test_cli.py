@@ -172,6 +172,14 @@ class TestSolve:
         ("report", "--kind", "arenstorf-table", "--atol", "nan"),
         ("bench", "--steps", "0"),
         ("bench", "--steps", "-3"),
+        ("solve", "--problem", "vdp", "--atol", "1e-6", "--rtol", "1e-6"),
+        (*SOLVE_VDP, "--atol", "abc", "--rtol", "1e-6"),
+        (*SOLVE_VDP, "--atol", "1e-6", "--rtol", "1e-6", "--max-steps", "0"),
+        ("report", "--kind", "arenstorf-table", "--max-steps", "-1"),
+        ("report", "--kind", "convergence", "--atol", "-1"),
+        ("report", "--kind", "convergence", "--rtol", "1e-6"),
+        ("report", "--kind", "convergence", "--group", "2"),
+        ("report", "--kind", "convergence", "--max-steps", "10"),
     ])
     def test_bad_flag_values_exit_2(self, capsys, flags):
         code, out, err = run(capsys, *flags)

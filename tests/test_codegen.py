@@ -17,11 +17,19 @@ from rkforge.codegen import (
     render_method_module,
 )
 from rkforge.generated import METHODS
-from rkforge.stepcontrol import WIDE_N, Tolerances, adaptive_integrate
+from rkforge.stepcontrol import (
+    WIDE_N,
+    ODEProblem,
+    Tolerances,
+    adaptive_integrate,
+    erk_step_generic,
+    interpreted_kernel,
+)
 from rkforge.tableau import parse_method_file
 from test_tableau import SAMPLE, sample_tableau
 
 TEMPLATE = Path(rkforge.__file__).parent / "templates" / "solver.py.tmpl"
+TABLEAUS = {t.name: t for t in shipped_methods()}
 
 
 class TestTemplates:
@@ -222,32 +230,34 @@ class TestVariantConsistency:
 
 
 class TestDimensionSwitch:
-    """The float-list and wide bodies of every generated _step agree bit for bit."""
+    """Above WIDE_N every generated _step hands the system to the shared array
+    kernel, so it agrees with the interpreter bit for bit."""
 
     @staticmethod
     def both_bodies(monkeypatch, mod, call):
         results = []
-        for wide_n in (sys.maxsize, 0):  # float-list body, then wide body
+        for wide_n in (sys.maxsize, 0):  # float-list body, then array kernel
             monkeypatch.setattr(mod, "WIDE_N", wide_n)
             results.append(call())
         return results
 
     @pytest.mark.parametrize("name", sorted(METHODS))
-    def test_bodies_bit_identical(self, monkeypatch, name):
+    def test_bodies_bit_identical(self, name):
         mod = METHODS[name]
+        tableau = TABLEAUS[name]
         seed = zlib.crc32(name.encode())
         print(f"{name}: seed {seed}")
         rng = np.random.default_rng(seed)
-        for n in (1, 5, WIDE_N, WIDE_N + 1, 3 * WIDE_N):
+        for n in (WIDE_N + 1, 3 * WIDE_N, 1000):
             y = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
             h = 10.0 ** rng.uniform(-4, -1)
             t0 = rng.uniform(-5, 5)
             mat = rng.standard_normal((n, n))
             f = lambda t, yy: mat @ yy + np.cos(t + yy)
-            (y_list, hat_list), (y_wide, hat_wide) = self.both_bodies(
-                monkeypatch, mod, lambda: mod._step(f, t0, y, h))
-            assert np.array_equal(y_list, y_wide), (name, n)
-            assert np.array_equal(hat_list, hat_wide), (name, n)
+            y_gen, hat_gen = mod._step(f, t0, y, h)
+            y_ref, hat_ref = erk_step_generic(tableau, ODEProblem(n, f), t0, y, h)[:2]
+            assert np.array_equal(y_gen, y_ref), (name, n)
+            assert np.array_equal(hat_gen, hat_ref), (name, n)
 
     @pytest.mark.parametrize("name", sorted(METHODS))
     def test_rhs_reusing_its_output_buffer(self, monkeypatch, name):
@@ -269,7 +279,7 @@ class TestDimensionSwitch:
             assert all(np.array_equal(e, g) for e, g in zip(body_expected, body_got)), name
 
     @pytest.mark.parametrize("name", sorted(METHODS))
-    def test_ensemble_trajectory_bit_identical(self, monkeypatch, name):
+    def test_ensemble_trajectory_bit_identical(self, name):
         copies = 20  # N = 40
 
         def rhs(t, y):
@@ -278,8 +288,8 @@ class TestDimensionSwitch:
             return np.concatenate((1.0 + uuv - 4.0 * u, 3.0 * u - uuv))
 
         y_0 = np.concatenate((np.linspace(0.5, 2.0, copies), np.linspace(2.0, 4.0, copies)))
-        mod = METHODS[name]
-        list_run, wide_run = self.both_bodies(monkeypatch, mod, lambda: adaptive_integrate(
-            mod.KERNEL, rhs, Tolerances(1e-6, 1e-6), y_0, 0.0, 10.0))
-        assert np.array_equal(list_run.times, wide_run.times)
-        assert np.array_equal(list_run.states, wide_run.states)
+        generated_run, interpreted_run = (
+            adaptive_integrate(kernel, rhs, Tolerances(1e-6, 1e-6), y_0, 0.0, 10.0)
+            for kernel in (METHODS[name].KERNEL, interpreted_kernel(TABLEAUS[name])))
+        assert np.array_equal(generated_run.times, interpreted_run.times)
+        assert np.array_equal(generated_run.states, interpreted_run.states)

@@ -280,6 +280,23 @@ class TestFixedIntegrate:
             fixed_integrate(kernel("DOPRI5"), rhs, 0.5, np.array([4.0]), 0.0, 50.0)
 
 
+def test_problem_dimension_must_match_initial_state():
+    # a 3-dimensional problem started from a 2-vector would silently drop a
+    # component; both drivers refuse it before the first step
+    prob = ODEProblem(3, lambda t, y: -y, "decay")
+    y_0 = np.array([1.0, 2.0])
+    runs = [
+        lambda: adaptive_integrate(kernel("DOPRI5"), prob, Tolerances(1e-6, 1e-6),
+                                   y_0, 0.0, 1.0),
+        lambda: integrate_info(kernel("DOPRI5"), prob, Tolerances(1e-6, 1e-6),
+                               y_0, 0.0, 1.0),
+        lambda: fixed_integrate(kernel("DOPRI5"), prob, 0.1, y_0, 0.0, 1.0),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="dimension 3, but y_0 has 2"):
+            run()
+
+
 class TestKernelEquivalence:
     @pytest.mark.parametrize("name", sorted(TABLEAUS))
     def test_generated_matches_generic(self, name):
