@@ -1,41 +1,22 @@
 """Generated specialized kernels vs the array-driven interpreter.
 
-Both compute identical steps; the generated modules inline every nonzero
-coefficient as a named scalar constant and fuse the stage arithmetic
-per component, which pays off at the small system sizes of this suite.
+Both take the same steps, to roundoff; the generated modules inline every
+nonzero coefficient as a named scalar constant and fuse the stage arithmetic
+per component, which pays off at the small system sizes of this suite.  The
+timing loop is `rkforge.cli.kernel_seconds`, the one behind `forge bench`.
 
 Run:  python demos/kernel_bench.py
 """
-import time
-
-import numpy as np
-
 from rkforge import shipped_methods
+from rkforge.cli import kernel_seconds
 from rkforge.generated import METHODS
-from rkforge.problems import benchmark_case
 from rkforge.stepcontrol import interpreted_kernel
 
-case = benchmark_case("brusselator")
 steps = 20000
-h = 20.0 / steps
-
-
-def throughput(kernel):
-    f = lambda t, y: np.asarray(case.problem.rhs(t, y), dtype=float)
-    y = case.y_0.copy()
-    t = 0.0
-    start = time.perf_counter()
-    for _ in range(steps):
-        y, _ = kernel.step(f, t, y, h)
-        t += h
-    return steps / (time.perf_counter() - start)
-
 
 print(f"{steps} fixed Brusselator steps per kernel")
 print(f"{'method':>12} {'generated/s':>12} {'generic/s':>12} {'ratio':>6}")
 for tableau in shipped_methods():
-    gen = METHODS[tableau.name].KERNEL
-    ref = interpreted_kernel(tableau)
-    throughput(gen), throughput(ref)  # warm-up
-    a, b = throughput(gen), throughput(ref)
+    a = steps / kernel_seconds(METHODS[tableau.name].KERNEL, steps)
+    b = steps / kernel_seconds(interpreted_kernel(tableau), steps)
     print(f"{tableau.name:>12} {a:>12.0f} {b:>12.0f} {a / b:>6.2f}")

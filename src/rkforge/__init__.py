@@ -12,7 +12,6 @@ from importlib import resources
 
 from .tableau import (
     ButcherTableau,
-    Rational,
     ValidationReport,
     parse_method_file,
     render_coefficient_literal,
@@ -37,7 +36,6 @@ from .stepcontrol import (
 
 __all__ = [
     "ButcherTableau",
-    "Rational",
     "ValidationReport",
     "parse_method_file",
     "render_coefficient_literal",

@@ -28,7 +28,7 @@ from .stepcontrol import (
 )
 from .tableau import TableauError, parse_method_file, validate_tableau
 
-__all__ = ["main"]
+__all__ = ["main", "kernel_seconds"]
 
 
 class CliError(Exception):
@@ -294,30 +294,34 @@ def cmd_report(args) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_bench(args) -> int:
-    module = _solver(args.method)
-    case = _case("brusselator")
-    from . import shipped_methods
-    tableau = next(t for t in shipped_methods() if t.name == args.method)
-    generic = interpreted_kernel(tableau)
-    h = (case.t_stop - case.t_start) / args.steps
+def kernel_seconds(kernel, steps: int) -> float:
+    """Seconds for `steps` bare fixed steps of ``kernel`` on the Brusselator
+    case (h = 20/steps from t = 0), timed after a warm-up over the first
+    min(steps, 2000) of them.  The rhs output is converted to a float array,
+    not checked, so the time is the kernel's own."""
+    case = benchmark_case("brusselator")
     rhs = case.problem.rhs
-    y0 = case.y_0
+    f = lambda t, y: np.asarray(rhs(t, y), dtype=float)
+    h = (case.t_stop - case.t_start) / steps
 
-    def run(kernel):
-        f = lambda t, y: np.asarray(rhs(t, y), dtype=float)
-        y = y0.copy()
-        t = 0.0
+    def run(n):
+        y, t = case.y_0.copy(), case.t_start
         start = time.perf_counter()
-        for _ in range(args.steps):
+        for _ in range(n):
             y, _unused = kernel.step(f, t, y, h)
             t += h
         return time.perf_counter() - start
 
-    run(module.KERNEL)  # warm-up
-    run(generic)
-    generated_s = run(module.KERNEL)
-    generic_s = run(generic)
+    run(min(steps, 2000))
+    return run(steps)
+
+
+def cmd_bench(args) -> int:
+    module = _solver(args.method)
+    from . import shipped_methods
+    tableau = next(t for t in shipped_methods() if t.name == args.method)
+    generated_s = kernel_seconds(module.KERNEL, args.steps)
+    generic_s = kernel_seconds(interpreted_kernel(tableau), args.steps)
     ratio = (args.steps / generated_s) / (args.steps / generic_s)
     csv = ("method,steps,generated_seconds,generic_seconds,throughput_ratio\n"
            f"{args.method},{args.steps},{_fmt(generated_s)},{_fmt(generic_s)},{_fmt(ratio)}")

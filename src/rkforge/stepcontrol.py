@@ -6,9 +6,11 @@ acceptance iff E <= 1, and the two-error update
 
     h_next = h / max(f_min, min(f_max, E_m^a * E_prev^(-b) / f_s))
 
-with a = 0.7/p - 0.75*b and b = 0.4/p by default.  Note the clamp acts on the
-divisor, so growth is capped at 1/f_min while shrinkage is capped at f_max.
-Rejected steps retry with h / min(f_max, E_m^a / f_s).
+with f_s = 0.9, f_min = 0.1, f_max = 5, b = 0.4/p and a = 0.7/p - 0.75*b for
+a method of order p: the drivers always use ControllerParams.for_order(p).
+Note the clamp acts on the divisor, so growth is capped at 1/f_min while
+shrinkage is capped at f_max.  Rejected steps retry with
+h / min(f_max, E_m^a / f_s).
 
 Generated solver modules call the same three functions (error_norm,
 propose_step_size, rescale_rejected) and the same driver loop, so the control
@@ -91,15 +93,13 @@ class ControllerParams:
             raise ValueError("need alpha_exp > 0 and beta_exp >= 0")
 
     @classmethod
-    def for_order(cls, p: int, f_s: float = 0.9, f_min: float = 0.1,
-                  f_max: float = 5.0) -> "ControllerParams":
-        """Recommended universal exponents for a method of main order p."""
+    def for_order(cls, p: int) -> "ControllerParams":
+        """The default factors with the recommended universal exponents for a
+        method of main order p; the drivers use exactly these."""
         if p < 1:
             raise ValueError("order must be positive")
         beta = 0.4 / p
-        alpha = 0.7 / p - 0.75 * beta
-        return cls(f_s=f_s, f_min=f_min, f_max=f_max,
-                   alpha_exp=alpha, beta_exp=beta)
+        return cls(alpha_exp=0.7 / p - 0.75 * beta, beta_exp=beta)
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,6 @@ class IntegrationOptions:
     h0: float | None = None          # default (t_stop - t_start) / 100
     max_steps: int = 10 ** 6
     h_min: float | None = None       # default 1e4 * eps * max(|t0|, |t1|, 1)
-    controller: ControllerParams | None = None
     propagate_embedded: bool = False
 
 
@@ -202,7 +201,8 @@ def erk_step_generic(t: ButcherTableau, prob: ODEProblem, t_m: float,
     if h <= 0:
         raise ValueError("step size must be positive")
     y_m = np.asarray(y_m, dtype=float)
-    return array_step(_float_coefficients(t), _vectorized_rhs(prob, y_m.shape[0]),
+    prob = _as_problem(prob, y_m)
+    return array_step(_float_coefficients(t), _vectorized_rhs(prob, prob.dimension),
                       t_m, y_m, h)
 
 
@@ -310,14 +310,15 @@ def _adaptive_loop(kernel: StepKernel, prob: ODEProblem, tol: Tolerances,
                    record_states: bool):
     """The adaptive loop behind every adaptive driver.
 
-    Returns (t_n, y_n, times, states, step_log): the accepted grid and its
-    states are lists when ``record_states`` and None otherwise, and
-    ``step_log()`` builds the StepLog, which only integrate_info asks for.
+    Returns (t_n, y_n, acc_t, states, step_log): acc_t lists the accepted
+    grid after t_start; states lists y_0 and the state at each accepted point
+    when ``record_states`` and is None otherwise; ``step_log()`` builds the
+    StepLog, which only integrate_info asks for.
     """
     if t_stop <= t_start:
         raise ValueError("need t_stop > t_start")
     opts = options or IntegrationOptions()
-    cp = opts.controller or ControllerParams.for_order(kernel.order)
+    cp = ControllerParams.for_order(kernel.order)
     y = np.asarray(y_0, dtype=float).copy()
     if not np.all(np.isfinite(y)):
         raise ValueError("initial state must be finite")
@@ -332,7 +333,6 @@ def _adaptive_loop(kernel: StepKernel, prob: ODEProblem, tol: Tolerances,
 
     t = t_start
     e_prev = 1.0
-    times = [t_start] if record_states else None
     states = [y.copy()] if record_states else None
     acc_t: list[float] = []
     acc_h: list[float] = []
@@ -369,7 +369,6 @@ def _adaptive_loop(kernel: StepKernel, prob: ODEProblem, tol: Tolerances,
             errs.append(e_m)
             t = t_new
             if record_states:
-                times.append(t)
                 states.append(y.copy())
             h = propose_step_size(h_use, e_m, e_prev, cp)
             e_prev = max(e_m, cp.e_prev_floor)
@@ -378,7 +377,7 @@ def _adaptive_loop(kernel: StepKernel, prob: ODEProblem, tol: Tolerances,
             rej_h.append(h_use)
             h = rescale_rejected(h_use, e_m, cp)
 
-    return t, y, times, states, step_log
+    return t, y, acc_t, states, step_log
 
 
 def adaptive_integrate(method: StepKernel, prob, tol: Tolerances, y_0,
@@ -390,11 +389,11 @@ def adaptive_integrate(method: StepKernel, prob, tol: Tolerances, y_0,
     specialized code); ``prob`` is an ODEProblem or a bare rhs callable.
     """
     prob = _as_problem(prob, y_0)
-    t, y, times, states, _ = _adaptive_loop(method, prob, tol, y_0, t_start, t_stop,
+    t, y, acc_t, states, _ = _adaptive_loop(method, prob, tol, y_0, t_start, t_stop,
                                             options, record_states=not last)
     if last:
         return float(t), y
-    return Trajectory(times=np.array(times), states=np.array(states))
+    return Trajectory(times=np.array([t_start] + acc_t), states=np.array(states))
 
 
 def integrate_info(method: StepKernel, prob, tol: Tolerances, y_0,
@@ -423,12 +422,10 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
     span = t_stop - t_start
     n_steps = max(1, math.ceil(span / h - 1e-9))
     y = np.asarray(y_0, dtype=float).copy()
-    times = np.empty(n_steps + 1)
-    times[0] = t_start
-    states = None
     if not last:
+        times = np.empty(n_steps + 1)
         states = np.empty((n_steps + 1, y.shape[0]))
-        states[0] = y
+        times[0], states[0] = t_start, y
     t = t_start
     for m in range(n_steps):
         t_next = t_start + (m + 1) * h
@@ -439,9 +436,8 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
             raise DivergenceError(
                 f"non-finite state produced at t = {t}", t, y)
         t = t_next
-        times[m + 1] = t
         if not last:
-            states[m + 1] = y
+            times[m + 1], states[m + 1] = t, y
     if last:
         return t, y
     return Trajectory(times=times, states=states)

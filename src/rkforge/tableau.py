@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "ButcherTableau",
     "TableauError",
     "MethodParseError",
@@ -29,11 +28,6 @@ __all__ = [
     "validate_tableau",
     "render_coefficient_literal",
 ]
-
-# Exact rational coefficient: arbitrary-precision numerator, positive
-# denominator, always in lowest terms.  fractions.Fraction guarantees all
-# three invariants.
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 _IDENTIFIER_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")

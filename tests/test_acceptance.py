@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from rkforge import shipped_methods
+from rkforge.cli import kernel_seconds
 from rkforge.codegen import generate_module_set
 from rkforge.generated import METHODS as GENERATED
 from rkforge.problems import (
@@ -258,28 +259,9 @@ def test_criterion_10_codegen_determinism(tmp_path):
 
 
 def test_criterion_11_generated_kernel_throughput():
-    case = benchmark_case("brusselator")
-    tableau = TABLEAUS["ERK43b"]
-    generated = GENERATED["ERK43b"].KERNEL
-    generic = interpreted_kernel(tableau)
-    rhs = case.problem.rhs
     steps = 10 ** 5
-    h = 20.0 / steps
-
-    def run(kernel, n):
-        f = lambda t, y: np.asarray(rhs(t, y), dtype=float)
-        y = case.y_0.copy()
-        t = 0.0
-        start = time.perf_counter()
-        for _ in range(n):
-            y, _unused = kernel.step(f, t, y, h)
-            t += h
-        return time.perf_counter() - start
-
-    run(generated, 2000)
-    run(generic, 2000)
-    t_gen = run(generated, steps)
-    t_int = run(generic, steps)
+    t_gen = kernel_seconds(GENERATED["ERK43b"].KERNEL, steps)
+    t_int = kernel_seconds(interpreted_kernel(TABLEAUS["ERK43b"]), steps)
     ratio = t_int / t_gen
     report(11, ratio >= 1.0,
            f"(generated {steps / t_gen:.0f} steps/s, generic "

@@ -282,7 +282,8 @@ class TestFixedIntegrate:
 
 def test_problem_dimension_must_match_initial_state():
     # a 3-dimensional problem started from a 2-vector would silently drop a
-    # component; both drivers refuse it before the first step
+    # component; both drivers and the reference step refuse it before the
+    # first rhs call
     prob = ODEProblem(3, lambda t, y: -y, "decay")
     y_0 = np.array([1.0, 2.0])
     runs = [
@@ -291,6 +292,7 @@ def test_problem_dimension_must_match_initial_state():
         lambda: integrate_info(kernel("DOPRI5"), prob, Tolerances(1e-6, 1e-6),
                                y_0, 0.0, 1.0),
         lambda: fixed_integrate(kernel("DOPRI5"), prob, 0.1, y_0, 0.0, 1.0),
+        lambda: erk_step_generic(TABLEAUS["DOPRI5"], prob, 0.0, y_0, 0.1),
     ]
     for run in runs:
         with pytest.raises(ValueError, match="dimension 3, but y_0 has 2"):
