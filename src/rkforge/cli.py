@@ -8,6 +8,7 @@ prints one line `forge: error[<code>] <text>` to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -21,6 +22,7 @@ from .stepcontrol import (
     IntegrationError,
     IntegrationOptions,
     Tolerances,
+    Trajectory,
     adaptive_integrate,
     fixed_integrate,
     integrate_info,
@@ -159,11 +161,6 @@ def _trajectory_csv(traj) -> str:
     return "\n".join(rows)
 
 
-def _last_csv(t_n, y_n) -> str:
-    header = "t," + ",".join(f"y{i + 1}" for i in range(len(y_n)))
-    return header + "\n" + ",".join([_fmt(t_n)] + [_fmt(v) for v in y_n])
-
-
 def _steplog_csv(log) -> str:
     rows = ["kind,t,h,error"]
     accepted = [("accepted", t, h, e) for t, h, e
@@ -176,9 +173,10 @@ def _steplog_csv(log) -> str:
     return "\n".join(rows)
 
 
-def _tolerances(a_tol: float, r_tol: float) -> Tolerances:
+def _from_flags(cls, *args, **kwargs):
+    """cls(*args, **kwargs), whose ValueError is a usage error."""
     try:
-        return Tolerances(a_tol, r_tol)
+        return cls(*args, **kwargs)
     except ValueError as exc:
         raise _usage_error("bad-flags", str(exc)) from exc
 
@@ -192,13 +190,18 @@ def _check_solve_flags(args, t0: float, t1: float):
         raise _usage_error("bad-flags", "adaptive runs need both --atol and --rtol")
     if fixed and args.output_kind == "steplog":
         raise _usage_error("bad-flags", "steplog output needs an adaptive run")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise _usage_error("bad-flags", f"--t0 and --t1 must be finite, got {t0!r}, {t1!r}")
     if not t0 < t1:
         raise _usage_error("bad-flags", f"need --t0 < --t1, got {t0!r} and {t1!r}")
     if fixed and not args.h > 0:
         raise _usage_error("bad-flags", f"--h must be positive, got {args.h!r}")
-    if args.h0 is not None and not args.h0 > 0:
-        raise _usage_error("bad-flags", f"--h0 must be positive, got {args.h0!r}")
-    return None if fixed else _tolerances(args.atol, args.rtol)
+    # fixed_integrate takes max(1, ceil(span / h - 1e-9)) steps; compared
+    # without ceil, which raises OverflowError when span / h is inf
+    if fixed and (t1 - t0) / args.h - 1e-9 > args.max_steps:
+        raise _usage_error("bad-flags", f"--h {args.h!r} takes more than --max-steps "
+                                        f"{args.max_steps} steps over [{t0!r}, {t1!r}]")
+    return None if fixed else _from_flags(Tolerances, args.atol, args.rtol)
 
 
 def cmd_solve(args) -> int:
@@ -209,28 +212,23 @@ def cmd_solve(args) -> int:
     tol = _check_solve_flags(args, t0, t1)
 
     kernel = module.KERNEL
-    options = IntegrationOptions(h0=args.h0, max_steps=args.max_steps)
+    options = _from_flags(IntegrationOptions, h0=args.h0, max_steps=args.max_steps)
+    last = args.output_kind == "last"
     try:
-        if tol is None:
-            if args.output_kind == "last":
-                t_n, y_n = fixed_integrate(kernel, case.problem, args.h, case.y_0,
-                                           t0, t1, last=True)
-                csv = _last_csv(t_n, y_n)
-            else:
-                traj = fixed_integrate(kernel, case.problem, args.h, case.y_0, t0, t1)
-                csv = _trajectory_csv(traj)
-        elif args.output_kind == "steplog":
-            log = integrate_info(kernel, case.problem, tol, case.y_0, t0, t1,
-                                 options=options)
-            csv = _steplog_csv(log)
-        elif args.output_kind == "last":
-            t_n, y_n = adaptive_integrate(kernel, case.problem, tol, case.y_0,
-                                          t0, t1, last=True, options=options)
-            csv = _last_csv(t_n, y_n)
+        if args.output_kind == "steplog":
+            csv = _steplog_csv(integrate_info(kernel, case.problem, tol, case.y_0, t0, t1,
+                                              options=options))
         else:
-            traj = adaptive_integrate(kernel, case.problem, tol, case.y_0,
-                                      t0, t1, options=options)
-            csv = _trajectory_csv(traj)
+            if tol is None:
+                result = fixed_integrate(kernel, case.problem, args.h, case.y_0, t0, t1,
+                                         last=last)
+            else:
+                result = adaptive_integrate(kernel, case.problem, tol, case.y_0, t0, t1,
+                                            last=last, options=options)
+            if last:
+                t_n, y_n = result
+                result = Trajectory(times=np.array([t_n]), states=np.array([y_n]))
+            csv = _trajectory_csv(result)
     except IntegrationError as exc:
         raise _runtime_error("integration-failure", str(exc)) from exc
     except ValueError as exc:
@@ -254,7 +252,7 @@ def cmd_report(args) -> int:
         flags = {name: getattr(args, name, default)
                  for name, default in _ARENSTORF_DEFAULTS.items()}
         case = _case(f"arenstorf:{flags['group']}")
-        tol = _tolerances(flags["atol"], flags["rtol"])
+        tol = _from_flags(Tolerances, flags["atol"], flags["rtol"])
         options = IntegrationOptions(max_steps=flags["max_steps"])
         header, missing = "method,status,closure_error", "missing,"
 

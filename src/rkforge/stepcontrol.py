@@ -151,6 +151,14 @@ class IntegrationOptions:
     h_min: float | None = None       # default 1e4 * eps * max(|t0|, |t1|, 1)
     propagate_embedded: bool = False
 
+    def __post_init__(self):
+        for name in ("h0", "h_min"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if not self.max_steps >= 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps!r}")
+
 
 class IntegrationError(RuntimeError):
     """Driver failure; carries the last good time/state and the partial log."""
@@ -196,14 +204,11 @@ def erk_step_generic(t: ButcherTableau, prob: ODEProblem, t_m: float,
     """One embedded step by the array-driven interpreter.
 
     Returns (y_next, y_hat_next, stages).  This is the reference kernel the
-    generated specialized code is checked against.
+    generated specialized code is checked against.  Its arguments pass the
+    drivers' entry check on the interval [t_m, t_m + h].
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    y_m = np.asarray(y_m, dtype=float)
-    prob = _as_problem(prob, y_m)
-    return array_step(_float_coefficients(t), _vectorized_rhs(prob, prob.dimension),
-                      t_m, y_m, h)
+    f, y_m = _entry_check(prob, y_m, t_m, t_m + h, h)
+    return array_step(_float_coefficients(t), f, t_m, y_m, h)
 
 
 def array_step(coefficients, f, t_m: float, y_m: np.ndarray, h: float):
@@ -283,16 +288,27 @@ def rescale_rejected(h_m: float, e_m: float, cp: ControllerParams) -> float:
     return h_m / min(cp.f_max, e_m ** cp.alpha_exp / cp.f_s)
 
 
-def _as_problem(f, y_0) -> ODEProblem:
-    prob = f if isinstance(f, ODEProblem) else ODEProblem(len(y_0), f)
-    if prob.dimension != len(y_0):
-        raise ValueError(f"problem {prob.name!r} has dimension {prob.dimension}, "
-                         f"but y_0 has {len(y_0)} components")
-    return prob
+def _entry_check(prob, y_0, t_start: float, t_stop: float, h: float):
+    """The argument check every driver and erk_step_generic run first.
 
-
-def _vectorized_rhs(prob: ODEProblem, n: int):
-    """prob.rhs returning float arrays, checked to have shape (n,)."""
+    Raises ValueError, before any rhs call, unless ``prob`` (an ODEProblem or
+    a bare rhs callable) has len(y_0) components, t_start < t_stop with both
+    ends finite, y_0 is finite and h > 0.  Returns (f, y): prob's rhs wrapped
+    to return float arrays checked to have shape (N,), and y_0 as a float
+    array of its own.
+    """
+    y = np.array(y_0, dtype=float)
+    prob = prob if isinstance(prob, ODEProblem) else ODEProblem(len(y), prob)
+    n = prob.dimension
+    if n != len(y):
+        raise ValueError(f"problem {prob.name!r} has dimension {n}, "
+                         f"but y_0 has {len(y)} components")
+    if not (math.isfinite(t_start) and math.isfinite(t_stop) and t_start < t_stop):
+        raise ValueError(f"need finite t_start < t_stop, got {t_start!r} and {t_stop!r}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("initial state must be finite")
+    if not h > 0:
+        raise ValueError(f"step size must be positive, got {h!r}")
     rhs = prob.rhs
 
     def f(t, y):
@@ -301,83 +317,68 @@ def _vectorized_rhs(prob: ODEProblem, n: int):
             raise ValueError(f"rhs returned shape {out.shape}, expected ({n},)")
         return out
 
-    return f
+    return f, y
 
 
-def _adaptive_loop(kernel: StepKernel, prob: ODEProblem, tol: Tolerances,
+def _step_log(attempts) -> StepLog:
+    """The StepLog of _adaptive_loop's attempt records (t, h, E, accepted)."""
+    t, h, e, accepted = np.array(attempts, dtype=float).reshape(-1, 4).T
+    accepted = accepted.astype(bool)
+    rejected = ~accepted
+    return StepLog(t[accepted], h[accepted], t[rejected], h[rejected], e[accepted])
+
+
+def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances,
                    y_0, t_start: float, t_stop: float,
                    options: IntegrationOptions | None,
                    record_states: bool):
     """The adaptive loop behind every adaptive driver.
 
-    Returns (t_n, y_n, acc_t, states, step_log): acc_t lists the accepted
-    grid after t_start; states lists y_0 and the state at each accepted point
-    when ``record_states`` and is None otherwise; ``step_log()`` builds the
-    StepLog, which only integrate_info asks for.
+    Returns (t_n, y_n, states, attempts).  states lists y_0 and the state at
+    each accepted point when ``record_states`` and is None otherwise.
+    attempts holds one record (t, h, E, accepted) per attempt, t being the
+    time after it; _step_log builds every StepLog and grid from them.
     """
-    if t_stop <= t_start:
-        raise ValueError("need t_stop > t_start")
     opts = options or IntegrationOptions()
-    cp = ControllerParams.for_order(kernel.order)
-    y = np.asarray(y_0, dtype=float).copy()
-    if not np.all(np.isfinite(y)):
-        raise ValueError("initial state must be finite")
-    f = _vectorized_rhs(prob, prob.dimension)
-    step = kernel.step
-
     h = opts.h0 if opts.h0 is not None else (t_stop - t_start) / 100.0
-    if h <= 0:
-        raise ValueError("initial step size must be positive")
+    f, y = _entry_check(prob, y_0, t_start, t_stop, h)
+    cp = ControllerParams.for_order(kernel.order)
+    step = kernel.step
     h_min = opts.h_min if opts.h_min is not None else (
         1e4 * np.finfo(float).eps * max(abs(t_start), abs(t_stop), 1.0))
 
     t = t_start
     e_prev = 1.0
     states = [y.copy()] if record_states else None
-    acc_t: list[float] = []
-    acc_h: list[float] = []
-    rej_t: list[float] = []
-    rej_h: list[float] = []
-    errs: list[float] = []
-    attempts = 0
-
-    def step_log():
-        return StepLog(np.array(acc_t), np.array(acc_h), np.array(rej_t),
-                       np.array(rej_h), np.array(errs))
+    attempts: list[tuple] = []
 
     while t < t_stop:
-        if attempts >= opts.max_steps:
+        if len(attempts) >= opts.max_steps:
             raise MaxStepsExceeded(
                 f"no convergence within {opts.max_steps} step attempts "
-                f"(reached t = {t})", t, y, step_log())
+                f"(reached t = {t})", t, y, _step_log(attempts))
         h_use = min(h, t_stop - t)
         if h_use < h_min and t + h_use < t_stop:
             raise StepSizeUnderflow(
                 f"step size underflow: h = {h_use} < h_min = {h_min} at t = {t}",
-                t, y, step_log())
-        attempts += 1
+                t, y, _step_log(attempts))
         y_next, y_hat_next = step(f, t, y, h_use)
         # A non-finite trial has E = inf: it is rejected and retried smaller,
         # and persistent failure ends in StepSizeUnderflow.
         e_m = error_norm(y_next, y_hat_next, tol)
-        if e_m <= 1.0:
+        accepted = e_m <= 1.0
+        if accepted:
             y = y_hat_next if opts.propagate_embedded else y_next
-            final = h_use >= t_stop - t
-            t_new = t_stop if final else min(t + h_use, t_stop)
-            acc_t.append(t_new)
-            acc_h.append(h_use)
-            errs.append(e_m)
-            t = t_new
+            t = t_stop if h_use >= t_stop - t else min(t + h_use, t_stop)
             if record_states:
                 states.append(y.copy())
             h = propose_step_size(h_use, e_m, e_prev, cp)
             e_prev = max(e_m, cp.e_prev_floor)
         else:
-            rej_t.append(t)
-            rej_h.append(h_use)
             h = rescale_rejected(h_use, e_m, cp)
+        attempts.append((t, h_use, e_m, accepted))
 
-    return t, y, acc_t, states, step_log
+    return t, y, states, attempts
 
 
 def adaptive_integrate(method: StepKernel, prob, tol: Tolerances, y_0,
@@ -388,22 +389,21 @@ def adaptive_integrate(method: StepKernel, prob, tol: Tolerances, y_0,
     ``method`` is any step kernel (generic interpreter or generated
     specialized code); ``prob`` is an ODEProblem or a bare rhs callable.
     """
-    prob = _as_problem(prob, y_0)
-    t, y, acc_t, states, _ = _adaptive_loop(method, prob, tol, y_0, t_start, t_stop,
+    t, y, states, attempts = _adaptive_loop(method, prob, tol, y_0, t_start, t_stop,
                                             options, record_states=not last)
     if last:
         return float(t), y
-    return Trajectory(times=np.array([t_start] + acc_t), states=np.array(states))
+    times = np.concatenate(([t_start], _step_log(attempts).accepted_t))
+    return Trajectory(times=times, states=np.array(states))
 
 
 def integrate_info(method: StepKernel, prob, tol: Tolerances, y_0,
                    t_start: float, t_stop: float,
                    options: IntegrationOptions | None = None) -> StepLog:
     """Adaptive integration returning the accepted/rejected step log."""
-    prob = _as_problem(prob, y_0)
-    *_, step_log = _adaptive_loop(method, prob, tol, y_0, t_start, t_stop,
+    *_, attempts = _adaptive_loop(method, prob, tol, y_0, t_start, t_stop,
                                   options, record_states=False)
-    return step_log()
+    return _step_log(attempts)
 
 
 def fixed_integrate(method: StepKernel, prob, h: float, y_0,
@@ -412,16 +412,9 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
 
     No error control; the embedded solution is computed but unused.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    if t_stop <= t_start:
-        raise ValueError("need t_stop > t_start")
-    prob = _as_problem(prob, y_0)
-    f = _vectorized_rhs(prob, prob.dimension)
+    f, y = _entry_check(prob, y_0, t_start, t_stop, h)
     step = method.step
-    span = t_stop - t_start
-    n_steps = max(1, math.ceil(span / h - 1e-9))
-    y = np.asarray(y_0, dtype=float).copy()
+    n_steps = max(1, math.ceil((t_stop - t_start) / h - 1e-9))
     if not last:
         times = np.empty(n_steps + 1)
         states = np.empty((n_steps + 1, y.shape[0]))

@@ -180,12 +180,30 @@ class TestSolve:
         ("report", "--kind", "convergence", "--rtol", "1e-6"),
         ("report", "--kind", "convergence", "--group", "2"),
         ("report", "--kind", "convergence", "--max-steps", "10"),
+        (*SOLVE_VDP, "--h", "0.01", "--t1", "inf"),
+        (*SOLVE_VDP, "--h", "0.01", "--t0=-inf", "--output-kind", "last"),
+        (*SOLVE_VDP, "--atol", "1e-6", "--rtol", "1e-6", "--t1", "inf"),
+        (*SOLVE_VDP, "--atol", "1e-6", "--rtol", "1e-6", "--t0=-inf", "--t1", "1"),
+        (*SOLVE_VDP, "--h", "1e-300"),
+        (*SOLVE_VDP, "--h", "1e-300", "--output-kind", "last"),
+        (*SOLVE_VDP, "--h", "5e-324", "--output-kind", "last"),
+        (*SOLVE_VDP, "--h", "0.01", "--max-steps", "1199"),
     ])
     def test_bad_flag_values_exit_2(self, capsys, flags):
         code, out, err = run(capsys, *flags)
         assert code == 2 and out == ""
         [line] = err.splitlines()
         assert line.startswith("forge: error[bad-flags] ")
+
+    @pytest.mark.parametrize("h, max_steps", [
+        ("0.01", "1200"), ("0.011999999999988001", "1000"),
+    ])
+    def test_fixed_run_of_exactly_max_steps(self, capsys, h, max_steps):
+        # 12 / h is 1200.0 and 1000.000000001: fixed_integrate takes 1200 and
+        # 1000 steps, so neither run exceeds --max-steps
+        code, out, _ = run(capsys, *SOLVE_VDP, "--h", h, "--max-steps", max_steps,
+                           "--output-kind", "last")
+        assert code == 0 and out.startswith("t,y1,y2\n12.0,")
 
     def test_rhs_singularity_exit_1(self, capsys, monkeypatch):
         # start the small body exactly on the large one: arenstorf_rhs raises

@@ -220,6 +220,20 @@ class TestAdaptiveIntegrate:
         assert exc.value.log is not None
         assert exc.value.log.accepted_t.size <= 5
 
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_partial_log_holds_every_attempt(self, n):
+        # the arenstorf orbit at a tight tolerance rejects steps as well as
+        # accepting them, so both halves of the log are filled
+        from rkforge.problems import benchmark_case
+        case = benchmark_case("arenstorf:1")
+        with pytest.raises(MaxStepsExceeded) as exc:
+            integrate_info(kernel("DOPRI5"), case.problem, Tolerances(1e-13, 0.0),
+                           case.y_0, case.t_start, case.t_stop,
+                           options=IntegrationOptions(max_steps=n))
+        log = exc.value.log
+        assert log.accepted_t.size + log.rejected_t.size == n
+        assert log.errors.size == log.accepted_t.size
+
     def test_underflow_guard_on_unresolvable_problem(self):
         # discontinuous rhs forces endless rejections at the jump
         def rhs(t, y):
@@ -297,6 +311,112 @@ def test_problem_dimension_must_match_initial_state():
     for run in runs:
         with pytest.raises(ValueError, match="dimension 3, but y_0 has 2"):
             run()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"h0": 0.0}, {"h0": -0.1}, {"h0": math.nan},
+    {"h_min": 0.0}, {"h_min": -1e-9}, {"h_min": math.nan},
+    {"max_steps": 0}, {"max_steps": -3},
+])
+def test_integration_options_validate_when_built(kwargs):
+    with pytest.raises(ValueError):
+        IntegrationOptions(**kwargs)
+
+
+class CountingRhs:
+    """y' = -y, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, t, y):
+        self.calls += 1
+        return -y
+
+
+TOL = Tolerances(1e-6, 1e-6)
+DRIVERS = {
+    "adaptive": lambda k, f, y_0, t0, t1: adaptive_integrate(k, f, TOL, y_0, t0, t1),
+    "adaptive_last": lambda k, f, y_0, t0, t1: adaptive_integrate(k, f, TOL, y_0, t0, t1,
+                                                                  last=True),
+    "integrate_info": lambda k, f, y_0, t0, t1: integrate_info(k, f, TOL, y_0, t0, t1),
+    "fixed": lambda k, f, y_0, t0, t1: fixed_integrate(k, f, 0.1, y_0, t0, t1),
+    "fixed_last": lambda k, f, y_0, t0, t1: fixed_integrate(k, f, 0.1, y_0, t0, t1, last=True),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+@pytest.mark.parametrize("t_start, t_stop", [
+    (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf),
+    (-math.inf, math.inf),
+])
+def test_entry_check_refuses_nonfinite_interval(driver, t_start, t_stop):
+    f = CountingRhs()
+    with pytest.raises(ValueError, match="finite t_start < t_stop"):
+        DRIVERS[driver](kernel("DOPRI5"), f, np.array([1.0]), t_start, t_stop)
+    assert f.calls == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_entry_check_refuses_nan_state_and_step():
+    f = CountingRhs()
+    runs = [
+        (lambda: fixed_integrate(kernel("DOPRI5"), f, 0.1, np.array([math.nan]), 0.0, 1.0),
+         "initial state must be finite"),
+        (lambda: fixed_integrate(kernel("DOPRI5"), f, math.nan, np.array([1.0]), 0.0, 1.0),
+         "step size must be positive"),
+        (lambda: erk_step_generic(TABLEAUS["DOPRI5"], f, 0.0, np.array([1.0]), math.nan),
+         "finite t_start < t_stop"),
+    ]
+    for run, message in runs:
+        with pytest.raises(ValueError, match=message):
+            run()
+    assert f.calls == 0
+
+
+def test_trace_hooks_see_every_call(monkeypatch, capsys):
+    # perfbench/bench_trace.py times the layers by patching these module
+    # attributes; a name bound at import, such as a module-level alias, would
+    # slip past its trace and past these counts
+    from rkforge import cli, stepcontrol
+    from rkforge.generated import dopri5
+    from rkforge.problems import benchmark_case
+
+    counts = {}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        counts[name] = 0
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("_adaptive_loop", "error_norm", "propose_step_size", "rescale_rejected"):
+        count(stepcontrol, name)
+    count(cli, "fixed_integrate")
+
+    case = benchmark_case("brusselator")
+    args = (case.problem, 1e-6, 1e-6, case.y_0, case.t_start, case.t_stop)
+    log = dopri5.DOPRI5_info(*args)
+    accepted, rejected = log.accepted_t.size, log.rejected_t.size
+    assert rejected > 0
+    expected = {"_adaptive_loop": 1, "error_norm": accepted + rejected,
+                "propose_step_size": accepted, "rescale_rejected": rejected,
+                "fixed_integrate": 0}
+    assert counts == expected
+
+    counts.update(dict.fromkeys(counts, 0))
+    dopri5.DOPRI5_last(*args)
+    assert counts == expected
+
+    counts.update(dict.fromkeys(counts, 0))
+    assert cli.main(["solve", "--method", "DOPRI5", "--problem", "vdp", "--h", "0.1",
+                     "--output-kind", "last"]) == 0
+    capsys.readouterr()
+    assert counts == dict.fromkeys(expected, 0) | {"fixed_integrate": 1}
 
 
 class TestKernelEquivalence:
