@@ -196,8 +196,9 @@ def _check_solve_flags(args, t0: float, t1: float):
         raise _usage_error("bad-flags", f"need --t0 < --t1, got {t0!r} and {t1!r}")
     if fixed and not args.h > 0:
         raise _usage_error("bad-flags", f"--h must be positive, got {args.h!r}")
-    # fixed_integrate takes max(1, ceil(span / h - 1e-9)) steps; compared
-    # without ceil, which raises OverflowError when span / h is inf
+    # the cap fixed_integrate applies too, checked here so that it is a usage
+    # error: max(1, ceil(span / h - 1e-9)) steps, compared without ceil,
+    # which raises OverflowError when span / h is inf
     if fixed and (t1 - t0) / args.h - 1e-9 > args.max_steps:
         raise _usage_error("bad-flags", f"--h {args.h!r} takes more than --max-steps "
                                         f"{args.max_steps} steps over [{t0!r}, {t1!r}]")
@@ -221,7 +222,7 @@ def cmd_solve(args) -> int:
         else:
             if tol is None:
                 result = fixed_integrate(kernel, case.problem, args.h, case.y_0, t0, t1,
-                                         last=last)
+                                         last=last, options=options)
             else:
                 result = adaptive_integrate(kernel, case.problem, tol, case.y_0, t0, t1,
                                             last=last, options=options)

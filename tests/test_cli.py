@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -231,6 +232,18 @@ class TestSolve:
                            "--rtol", "0", "--max-steps", "10")
         assert code == 1
         assert "forge: error[integration-failure]" in err
+
+    def test_integration_failure_names_t_h_and_attempts(self, capsys):
+        code, out, err = run(capsys, "solve", "--method", "DOPRI5",
+                             "--problem", "arenstorf:1", "--atol", "1e-13",
+                             "--rtol", "0", "--max-steps", "20")
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        match = re.fullmatch(r"forge: error\[integration-failure\] no convergence within "
+                             r"20 step attempts \(reached t = (\S+), last h = (\S+)\)", line)
+        assert match, line
+        t, h = map(float, match.groups())
+        assert 0.0 < t < benchmark_case("arenstorf:1").t_stop and h > 0.0
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "traj.csv"

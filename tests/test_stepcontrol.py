@@ -1,4 +1,5 @@
 import math
+import re
 import zlib
 
 import numpy as np
@@ -12,6 +13,7 @@ from rkforge.stepcontrol import (
     MaxStepsExceeded,
     ODEProblem,
     StepSizeUnderflow,
+    WIDE_N,
     Tolerances,
     adaptive_integrate,
     erk_step_generic,
@@ -114,6 +116,54 @@ class TestErrorNorm:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             error_norm([1.0, 2.0], [1.0], Tolerances(1e-6, 0.0))
+
+    @staticmethod
+    def array_formula(y, y_hat, tol):
+        """The norm as whole-array numpy operations, an oracle written apart
+        from error_norm."""
+        diff = y - y_hat
+        if not np.all(np.isfinite(diff)):
+            return math.inf
+        sc = tol.a_tol + np.maximum(np.abs(y), np.abs(y_hat)) * tol.r_tol
+        zero = sc == 0.0
+        if np.any(diff[zero] != 0.0):
+            return math.inf
+        sc[zero] = 1.0
+        return math.sqrt(float(np.mean((diff / sc) ** 2)))
+
+    @pytest.mark.parametrize("n", range(1, WIDE_N + 2))
+    def test_bit_identical_to_array_formula(self, n):
+        # up to WIDE_N error_norm sums plain floats in numpy's pairwise order;
+        # a plain running sum from 8 components on differs in the last bits.
+        # n = WIDE_N + 1 runs the array path.
+        seed = zlib.crc32(f"error_norm {n}".encode())
+        rng = np.random.default_rng(seed)
+        kinds = ("mixed", "r_tol = 0", "zero scale", "nonfinite")
+        finite = 0
+        for trial in range(400):
+            y = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+            y_hat = y * (1.0 + rng.standard_normal(n) * 10.0 ** rng.uniform(-16, 0, n))
+            a_tol, r_tol = 10.0 ** rng.uniform(-14, -2, 2)
+            kind = kinds[trial % 4]
+            if kind == "r_tol = 0":
+                r_tol = 0.0
+            elif kind == "zero scale":
+                # zero components at a_tol = 0; a subnormal difference whose
+                # scale underflows to 0 must give inf
+                a_tol = 0.0
+                zeros = rng.random(n) < 0.5
+                y[zeros] = y_hat[zeros] = 0.0
+                if rng.random() < 0.3:
+                    y_hat[rng.integers(n)] = 5e-324
+            elif kind == "nonfinite":
+                which = y if rng.random() < 0.5 else y_hat
+                which[rng.integers(n)] = rng.choice([math.inf, -math.inf, math.nan])
+            tol = Tolerances(a_tol, r_tol)
+            got = error_norm(y, y_hat, tol)
+            assert got == self.array_formula(y, y_hat, tol), (seed, trial, kind)
+            finite += math.isfinite(got)
+        # the inf cases are a minority: most compare two finite sums
+        assert finite >= 200
 
 
 class TestController:
@@ -234,6 +284,31 @@ class TestAdaptiveIntegrate:
         assert log.accepted_t.size + log.rejected_t.size == n
         assert log.errors.size == log.accepted_t.size
 
+    def test_failures_name_t_h_and_attempts(self):
+        from rkforge.problems import benchmark_case
+        case = benchmark_case("arenstorf:1")
+        with pytest.raises(MaxStepsExceeded) as exc:
+            integrate_info(kernel("DOPRI5"), case.problem, Tolerances(1e-13, 0.0),
+                           case.y_0, case.t_start, case.t_stop,
+                           options=IntegrationOptions(max_steps=20))
+        log = exc.value.log
+        t, h = re.fullmatch(r"no convergence within 20 step attempts "
+                            r"\(reached t = (\S+), last h = (\S+)\)", str(exc.value)).groups()
+        assert float(t) == exc.value.t
+        assert float(h) in (log.accepted_h[-1], log.rejected_h[-1])
+
+        # every step that crosses t = 0.5 meets a NaN and is rejected, so h
+        # shrinks until it underflows h_min
+        def rhs(t, y):
+            return np.array([math.nan if t > 0.5 else 1.0])
+        with pytest.raises(StepSizeUnderflow) as exc:
+            integrate_info(kernel("DOPRI5"), rhs, Tolerances(1e-8, 1e-8), np.array([0.0]),
+                           0.0, 1.0, options=IntegrationOptions(h_min=1e-6))
+        log = exc.value.log
+        attempts = log.accepted_t.size + log.rejected_t.size
+        assert log.rejected_t.size > 0
+        assert str(exc.value).endswith(f"at t = {exc.value.t} after {attempts} step attempts")
+
     def test_underflow_guard_on_unresolvable_problem(self):
         # discontinuous rhs forces endless rejections at the jump
         def rhs(t, y):
@@ -292,6 +367,35 @@ class TestFixedIntegrate:
             return y * y
         with pytest.raises(DivergenceError):
             fixed_integrate(kernel("DOPRI5"), rhs, 0.5, np.array([4.0]), 0.0, 50.0)
+
+    @pytest.mark.parametrize("h", [1e-300, 5e-324])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_step_cap_refuses_before_first_rhs_call(self, h, last):
+        # 12 / 5e-324 is inf; without the cap these runs would not end
+        from rkforge.generated import dopri5
+        runs = [
+            lambda f: fixed_integrate(kernel("DOPRI5"), f, h, np.array([1.0]), 0.0, 12.0,
+                                      last=last),
+            lambda f: (dopri5.DOPRI5_fixed_last if last else dopri5.DOPRI5_fixed)(
+                f, h, np.array([1.0]), 0.0, 12.0),
+        ]
+        for run in runs:
+            f = CountingRhs()
+            with pytest.raises(ValueError, match="more than max_steps"):
+                run(f)
+            assert f.calls == 0
+
+    @pytest.mark.parametrize("h, max_steps", [(0.01, 1200), (0.011999999999988001, 1000)])
+    def test_run_of_exactly_max_steps(self, h, max_steps):
+        # 12 / h is 1200.0 and 1000.000000001; one step fewer is refused
+        f = CountingRhs()
+        with pytest.raises(ValueError, match="more than max_steps"):
+            fixed_integrate(kernel("ERK43b"), f, h, np.array([1.0]), 0.0, 12.0,
+                            options=IntegrationOptions(max_steps=max_steps - 1))
+        traj = fixed_integrate(kernel("ERK43b"), f, h, np.array([1.0]), 0.0, 12.0,
+                               options=IntegrationOptions(max_steps=max_steps))
+        assert traj.times.size == max_steps + 1 and traj.times[-1] == 12.0
+        assert f.calls == 5 * max_steps
 
 
 def test_problem_dimension_must_match_initial_state():
