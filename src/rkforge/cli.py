@@ -8,7 +8,6 @@ prints one line `forge: error[<code>] <text>` to stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from pathlib import Path
@@ -19,6 +18,7 @@ from . import shipped_method_path
 from .codegen import format_manifest, generate_module_set
 from .problems import PROBLEM_NAMES, benchmark_case, closure_error
 from .stepcontrol import (
+    ArgumentError,
     IntegrationError,
     IntegrationOptions,
     Tolerances,
@@ -173,16 +173,9 @@ def _steplog_csv(log) -> str:
     return "\n".join(rows)
 
 
-def _from_flags(cls, *args, **kwargs):
-    """cls(*args, **kwargs), whose ValueError is a usage error."""
-    try:
-        return cls(*args, **kwargs)
-    except ValueError as exc:
-        raise _usage_error("bad-flags", str(exc)) from exc
-
-
-def _check_solve_flags(args, t0: float, t1: float):
-    """Validate the numeric solve flags; returns the tolerances (None when fixed)."""
+def _check_solve_flags(args):
+    """Check the solve flag combinations no runtime call knows; returns the
+    tolerances (None when fixed).  The runtime refuses bad values itself."""
     fixed = args.h is not None
     if fixed and (args.atol is not None or args.rtol is not None):
         raise _usage_error("bad-flags", "give either --h or --atol/--rtol, not both")
@@ -190,19 +183,7 @@ def _check_solve_flags(args, t0: float, t1: float):
         raise _usage_error("bad-flags", "adaptive runs need both --atol and --rtol")
     if fixed and args.output_kind == "steplog":
         raise _usage_error("bad-flags", "steplog output needs an adaptive run")
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise _usage_error("bad-flags", f"--t0 and --t1 must be finite, got {t0!r}, {t1!r}")
-    if not t0 < t1:
-        raise _usage_error("bad-flags", f"need --t0 < --t1, got {t0!r} and {t1!r}")
-    if fixed and not args.h > 0:
-        raise _usage_error("bad-flags", f"--h must be positive, got {args.h!r}")
-    # the cap fixed_integrate applies too, checked here so that it is a usage
-    # error: max(1, ceil(span / h - 1e-9)) steps, compared without ceil,
-    # which raises OverflowError when span / h is inf
-    if fixed and (t1 - t0) / args.h - 1e-9 > args.max_steps:
-        raise _usage_error("bad-flags", f"--h {args.h!r} takes more than --max-steps "
-                                        f"{args.max_steps} steps over [{t0!r}, {t1!r}]")
-    return None if fixed else _from_flags(Tolerances, args.atol, args.rtol)
+    return None if fixed else Tolerances(args.atol, args.rtol)
 
 
 def cmd_solve(args) -> int:
@@ -210,10 +191,10 @@ def cmd_solve(args) -> int:
     case = _case(args.problem)
     t0 = args.t0 if args.t0 is not None else case.t_start
     t1 = args.t1 if args.t1 is not None else case.t_stop
-    tol = _check_solve_flags(args, t0, t1)
+    tol = _check_solve_flags(args)
 
     kernel = module.KERNEL
-    options = _from_flags(IntegrationOptions, h0=args.h0, max_steps=args.max_steps)
+    options = IntegrationOptions(h0=args.h0, max_steps=args.max_steps)
     last = args.output_kind == "last"
     try:
         if args.output_kind == "steplog":
@@ -232,16 +213,19 @@ def cmd_solve(args) -> int:
             csv = _trajectory_csv(result)
     except IntegrationError as exc:
         raise _runtime_error("integration-failure", str(exc)) from exc
+    except ArgumentError:
+        raise
     except ValueError as exc:
-        # The flags are valid by now, so this comes from the rhs: a
-        # singularity or an output of the wrong shape.
+        # Not a refused argument, so this comes from the rhs: a singularity
+        # or an output of the wrong shape.
         raise _runtime_error("rhs-failure", str(exc)) from exc
     _write_output(csv, args.output)
     return 0
 
 
 # The flags only `forge report --kind arenstorf-table` takes, with defaults.
-_ARENSTORF_DEFAULTS = {"group": 1, "atol": 1e-13, "rtol": 0.0, "max_steps": 10 ** 6}
+_ARENSTORF_DEFAULTS = {"group": 1, "atol": 1e-13, "rtol": 0.0,
+                       "max_steps": IntegrationOptions.max_steps}
 
 
 def cmd_report(args) -> int:
@@ -253,7 +237,7 @@ def cmd_report(args) -> int:
         flags = {name: getattr(args, name, default)
                  for name, default in _ARENSTORF_DEFAULTS.items()}
         case = _case(f"arenstorf:{flags['group']}")
-        tol = _from_flags(Tolerances, flags["atol"], flags["rtol"])
+        tol = Tolerances(flags["atol"], flags["rtol"])
         options = IntegrationOptions(max_steps=flags["max_steps"])
         header, missing = "method,status,closure_error", "missing,"
 
@@ -361,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h0", type=float, default=None, help="initial adaptive step")
     p.add_argument("--t0", type=float, default=None)
     p.add_argument("--t1", type=float, default=None)
-    p.add_argument("--max-steps", type=_positive_int, default=10 ** 6)
+    p.add_argument("--max-steps", type=_positive_int, default=IntegrationOptions.max_steps)
     p.add_argument("--output", default=None)
     p.add_argument("--output-kind", choices=("trajectory", "last", "steplog"),
                    default="trajectory")
@@ -397,11 +381,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
-        print(f"forge: error[{exc.code}] {exc}", file=sys.stderr)
-        return exc.exit_code
+        code, message, exit_code = exc.code, exc, exc.exit_code
+    except ArgumentError as exc:
+        code, message, exit_code = "bad-flags", exc, 2
     except TableauError as exc:
-        print(f"forge: error[invalid-method-file] {exc}", file=sys.stderr)
-        return 2
+        code, message, exit_code = "invalid-method-file", exc, 2
+    print(f"forge: error[{code}] {message}", file=sys.stderr)
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -15,8 +15,6 @@ import numpy as np
 from .stepcontrol import ODEProblem
 
 __all__ = [
-    "VdpParams",
-    "RigidBodyParams",
     "ArenstorfParams",
     "SingularityError",
     "ARENSTORF_PERIOD",
@@ -54,20 +52,10 @@ class SingularityError(ValueError):
     """State coincides with one of the two massive bodies (collision)."""
 
 
-@dataclass(frozen=True)
-class VdpParams:
-    """Nonlinearity/decay coefficient of the van der Pol oscillator."""
-
-    mu: float = 1.0
-
-
-@dataclass(frozen=True)
-class RigidBodyParams:
-    """Inertia coefficients of the torque-free Euler equations."""
-
-    i1: float = -2.0
-    i2: float = 1.25
-    i3: float = -0.5
+# Nonlinearity coefficient of the van der Pol oscillator, and the inertia
+# coefficients of the torque-free Euler equations.
+VDP_MU = 1.0
+RIGID_BODY_I1, RIGID_BODY_I2, RIGID_BODY_I3 = -2.0, 1.25, -0.5
 
 
 @dataclass(frozen=True)
@@ -85,14 +73,15 @@ class ArenstorfParams:
         return 1.0 - self.mu1
 
 
-def vdp_rhs(t, y, params: VdpParams = VdpParams()):
+def vdp_rhs(t, y):
     x1, x2 = y
-    return np.array([x2, params.mu * (1.0 - x1 * x1) * x2 - x1])
+    return np.array([x2, VDP_MU * (1.0 - x1 * x1) * x2 - x1])
 
 
-def rigid_body_rhs(t, y, params: RigidBodyParams = RigidBodyParams()):
+def rigid_body_rhs(t, y):
     x1, x2, x3 = y
-    return np.array([params.i1 * x2 * x3, params.i2 * x1 * x3, params.i3 * x1 * x2])
+    return np.array([RIGID_BODY_I1 * x2 * x3, RIGID_BODY_I2 * x1 * x3,
+                     RIGID_BODY_I3 * x1 * x2])
 
 
 def brusselator_rhs(t, y):

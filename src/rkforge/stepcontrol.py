@@ -32,6 +32,7 @@ import numpy as np
 from .tableau import ButcherTableau, render_coefficient_literal
 
 __all__ = [
+    "ArgumentError",
     "Tolerances",
     "ControllerParams",
     "ODEProblem",
@@ -56,6 +57,10 @@ __all__ = [
 ]
 
 
+class ArgumentError(ValueError):
+    """A refused argument, raised before any rhs call."""
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Absolute and relative tolerance; at least one must be positive."""
@@ -65,9 +70,9 @@ class Tolerances:
 
     def __post_init__(self):
         if not (self.a_tol >= 0 and self.r_tol >= 0):
-            raise ValueError("tolerances must be nonnegative numbers")
+            raise ArgumentError("tolerances must be nonnegative numbers")
         if self.a_tol + self.r_tol == 0:
-            raise ValueError("a_tol and r_tol cannot both be zero")
+            raise ArgumentError("a_tol and r_tol cannot both be zero")
 
 
 @dataclass(frozen=True)
@@ -159,9 +164,9 @@ class IntegrationOptions:
         for name in ("h0", "h_min"):
             value = getattr(self, name)
             if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+                raise ArgumentError(f"{name} must be positive, got {value!r}")
         if not self.max_steps >= 1:
-            raise ValueError(f"max_steps must be at least 1, got {self.max_steps!r}")
+            raise ArgumentError(f"max_steps must be at least 1, got {self.max_steps!r}")
 
 
 class IntegrationError(RuntimeError):
@@ -344,24 +349,25 @@ def rescale_rejected(h_m: float, e_m: float, cp: ControllerParams) -> float:
 def _entry_check(prob, y_0, t_start: float, t_stop: float, h: float):
     """The argument check every driver and erk_step_generic run first.
 
-    Raises ValueError, before any rhs call, unless ``prob`` (an ODEProblem or
+    Raises ArgumentError, before any rhs call, unless ``prob`` (an ODEProblem or
     a bare rhs callable) has len(y_0) components, t_start < t_stop with both
     ends finite, y_0 is finite and h > 0.  Returns (f, y): prob's rhs wrapped
     to return float arrays checked to have shape (N,), and y_0 as a float
-    array of its own.
+    array of its own.  A wrong shape can show mid-run, so f raises a plain
+    ValueError for it.
     """
     y = np.array(y_0, dtype=float)
     prob = prob if isinstance(prob, ODEProblem) else ODEProblem(len(y), prob)
     n = prob.dimension
     if n != len(y):
-        raise ValueError(f"problem {prob.name!r} has dimension {n}, "
-                         f"but y_0 has {len(y)} components")
+        raise ArgumentError(f"problem {prob.name!r} has dimension {n}, "
+                            f"but y_0 has {len(y)} components")
     if not (math.isfinite(t_start) and math.isfinite(t_stop) and t_start < t_stop):
-        raise ValueError(f"need finite t_start < t_stop, got {t_start!r} and {t_stop!r}")
+        raise ArgumentError(f"need finite t_start < t_stop, got {t_start!r} and {t_stop!r}")
     if not np.all(np.isfinite(y)):
-        raise ValueError("initial state must be finite")
+        raise ArgumentError("initial state must be finite")
     if not h > 0:
-        raise ValueError(f"step size must be positive, got {h!r}")
+        raise ArgumentError(f"step size must be positive, got {h!r}")
     rhs = prob.rhs
 
     def f(t, y):
@@ -467,15 +473,15 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
 
     No error control; the embedded solution is computed but unused.  Of
     ``options`` only max_steps applies: a run of more steps raises
-    ValueError before the first rhs call.
+    ArgumentError before the first rhs call.
     """
     f, y = _entry_check(prob, y_0, t_start, t_stop, h)
     max_steps = (options or IntegrationOptions()).max_steps
     # compared before ceil, which raises OverflowError when span / h is inf
     span_steps = (t_stop - t_start) / h - 1e-9
     if span_steps > max_steps:
-        raise ValueError(f"step size {h!r} takes more than max_steps = {max_steps} "
-                         f"steps over [{t_start!r}, {t_stop!r}]")
+        raise ArgumentError(f"step size {h!r} takes more than max_steps = {max_steps} "
+                            f"steps over [{t_start!r}, {t_stop!r}]")
     step = method.step
     n_steps = max(1, math.ceil(span_steps))
     if not last:

@@ -143,12 +143,9 @@ def _coeff_array(obj, key: str, idx: int):
         raise MethodSchemaError(f"method {idx}: missing key {key!r}") from None
 
 
-def _parse_row(values, length: int, label: str, name: str) -> tuple[Fraction, ...]:
+def _parse_row(values, label: str, name: str) -> tuple[Fraction, ...]:
     if not isinstance(values, list):
         raise MethodSchemaError(f"{name}: {label} must be an array")
-    if len(values) != length:
-        raise MethodDimensionError(
-            f"{name}: {label} has length {len(values)}, expected stage count {length}")
     return tuple(parse_rational(v) for v in values)
 
 
@@ -157,7 +154,8 @@ def parse_method_file(data: bytes | str) -> list[ButcherTableau]:
 
     The file is an array of objects with keys name, description, stage, order,
     extrapolation_order, a, b, b_hat, c.  Coefficients are strings "m" / "m/n"
-    or exact integers.
+    or exact integers.  Names must differ case-insensitively, since each names
+    a generated module; ButcherTableau checks every array length.
     """
     if isinstance(data, bytes):
         if data.startswith(b"\xef\xbb\xbf"):
@@ -176,6 +174,7 @@ def parse_method_file(data: bytes | str) -> list[ButcherTableau]:
         raise MethodSchemaError("method file must be a JSON array of method objects")
 
     tableaus = []
+    seen = {}
     for idx, obj in enumerate(doc):
         if not isinstance(obj, dict):
             raise MethodSchemaError(f"method {idx}: expected an object")
@@ -192,16 +191,19 @@ def parse_method_file(data: bytes | str) -> list[ButcherTableau]:
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise MethodSchemaError(
                     f"method {idx} ({name}): {label} must be a positive integer")
+        key = name.lower()
+        if key in seen:
+            raise MethodSchemaError(f"method {idx}: duplicate method name {name!r} "
+                                    f"(collides with {seen[key]!r})")
+        seen[key] = name
 
         a_rows = _coeff_array(obj, "a", idx)
-        if not isinstance(a_rows, list) or len(a_rows) != stage:
-            raise MethodDimensionError(
-                f"{name}: a must be an array of {stage} rows")
-        a = tuple(_parse_row(row, stage, f"a row {i + 1}", name)
-                  for i, row in enumerate(a_rows))
-        b = _parse_row(_coeff_array(obj, "b", idx), stage, "b", name)
-        b_hat = _parse_row(_coeff_array(obj, "b_hat", idx), stage, "b_hat", name)
-        c = _parse_row(_coeff_array(obj, "c", idx), stage, "c", name)
+        if not isinstance(a_rows, list):
+            raise MethodSchemaError(f"{name}: a must be an array")
+        a = tuple(_parse_row(row, f"a row {i + 1}", name) for i, row in enumerate(a_rows))
+        b = _parse_row(_coeff_array(obj, "b", idx), "b", name)
+        b_hat = _parse_row(_coeff_array(obj, "b_hat", idx), "b_hat", name)
+        c = _parse_row(_coeff_array(obj, "c", idx), "c", name)
         tableaus.append(ButcherTableau(name=name, description=description, s=stage,
                                        p=order, p_hat=p_hat, a=a, b=b, b_hat=b_hat, c=c))
     return tableaus

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rkforge import cli
+from rkforge import cli, shipped_method_path
 from rkforge.cli import main
 from rkforge.problems import ArenstorfParams, benchmark_case
 
@@ -84,6 +84,21 @@ class TestGenerate:
         code, out, err = run(capsys, "generate", "--methods", str(path),
                              "--out", str(out_dir))
         assert code == 2
+        assert not out_dir.exists()
+
+    def test_duplicate_method_names_exit_2(self, capsys, tmp_path):
+        # module names are lowercased, so ERK43b and erk43b would collide
+        [erk] = [m for m in json.loads(shipped_method_path().read_text())
+                 if m["name"] == "ERK43b"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([erk, {**erk, "name": "erk43b"}]))
+        out_dir = tmp_path / "g"
+        for argv in (("validate",), ("generate", "--out", str(out_dir))):
+            code, out, err = run(capsys, *argv, "--methods", str(path))
+            assert code == 2 and out == ""
+            [line] = err.splitlines()
+            assert line.startswith("forge: error[invalid-method-file] ")
+            assert "'erk43b'" in line and "'ERK43b'" in line
         assert not out_dir.exists()
 
 

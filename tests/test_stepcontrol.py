@@ -7,6 +7,7 @@ import pytest
 
 from rkforge import shipped_methods
 from rkforge.stepcontrol import (
+    ArgumentError,
     ControllerParams,
     DivergenceError,
     IntegrationOptions,
@@ -62,7 +63,7 @@ class TestGenericStep:
     def test_h_zero_rejected(self):
         t = sample_tableau()
         prob = ODEProblem(1, lambda tt, yy: yy, "exp")
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             erk_step_generic(t, prob, 0.0, np.array([1.0]), 0.0)
 
     def test_wrong_rhs_length(self):
@@ -203,9 +204,9 @@ class TestController:
             ControllerParams(f_s=1.2, alpha_exp=0.1, beta_exp=0.1)
         with pytest.raises(ValueError):
             ControllerParams(f_min=2.0, alpha_exp=0.1, beta_exp=0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             Tolerances(0.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             Tolerances(-1e-6, 1e-6)
 
 
@@ -331,7 +332,7 @@ class TestAdaptiveIntegrate:
                                options=IntegrationOptions(max_steps=20000))
 
     def test_bad_interval(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             adaptive_integrate(kernel("DOPRI5"), lambda t, y: y,
                                Tolerances(1e-8, 1e-8), np.array([1.0]), 1.0, 1.0)
 
@@ -381,7 +382,7 @@ class TestFixedIntegrate:
         ]
         for run in runs:
             f = CountingRhs()
-            with pytest.raises(ValueError, match="more than max_steps"):
+            with pytest.raises(ArgumentError, match="more than max_steps"):
                 run(f)
             assert f.calls == 0
 
@@ -389,7 +390,7 @@ class TestFixedIntegrate:
     def test_run_of_exactly_max_steps(self, h, max_steps):
         # 12 / h is 1200.0 and 1000.000000001; one step fewer is refused
         f = CountingRhs()
-        with pytest.raises(ValueError, match="more than max_steps"):
+        with pytest.raises(ArgumentError, match="more than max_steps"):
             fixed_integrate(kernel("ERK43b"), f, h, np.array([1.0]), 0.0, 12.0,
                             options=IntegrationOptions(max_steps=max_steps - 1))
         traj = fixed_integrate(kernel("ERK43b"), f, h, np.array([1.0]), 0.0, 12.0,
@@ -413,7 +414,7 @@ def test_problem_dimension_must_match_initial_state():
         lambda: erk_step_generic(TABLEAUS["DOPRI5"], prob, 0.0, y_0, 0.1),
     ]
     for run in runs:
-        with pytest.raises(ValueError, match="dimension 3, but y_0 has 2"):
+        with pytest.raises(ArgumentError, match="dimension 3, but y_0 has 2"):
             run()
 
 
@@ -423,7 +424,7 @@ def test_problem_dimension_must_match_initial_state():
     {"max_steps": 0}, {"max_steps": -3},
 ])
 def test_integration_options_validate_when_built(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError):
         IntegrationOptions(**kwargs)
 
 
@@ -456,7 +457,7 @@ DRIVERS = {
 ])
 def test_entry_check_refuses_nonfinite_interval(driver, t_start, t_stop):
     f = CountingRhs()
-    with pytest.raises(ValueError, match="finite t_start < t_stop"):
+    with pytest.raises(ArgumentError, match="finite t_start < t_stop"):
         DRIVERS[driver](kernel("DOPRI5"), f, np.array([1.0]), t_start, t_stop)
     assert f.calls == 0
 
@@ -473,9 +474,24 @@ def test_entry_check_refuses_nan_state_and_step():
          "finite t_start < t_stop"),
     ]
     for run, message in runs:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ArgumentError, match=message):
             run()
     assert f.calls == 0
+
+
+def test_rhs_failures_are_not_argument_errors():
+    # both fire after rhs calls have run, so they must not read as a refused
+    # argument: the CLI reports them as rhs failures, exit 1
+    from rkforge.problems import ArenstorfParams, SingularityError, benchmark_case
+    case = benchmark_case("arenstorf:1")
+    on_body = np.array([0.0, 0.0, ArenstorfParams().mu2, 0.0])
+    with pytest.raises(SingularityError) as exc:
+        fixed_integrate(kernel("DOPRI5"), case.problem, 0.1, on_body, 0.0, 1.0)
+    assert not isinstance(exc.value, ArgumentError)
+    wrong = ODEProblem(2, lambda t, y: np.zeros(3), "wrong")
+    with pytest.raises(ValueError, match="shape") as exc:
+        adaptive_integrate(kernel("DOPRI5"), wrong, TOL, np.zeros(2), 0.0, 1.0)
+    assert not isinstance(exc.value, ArgumentError)
 
 
 def test_trace_hooks_see_every_call(monkeypatch, capsys):

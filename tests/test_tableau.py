@@ -98,10 +98,21 @@ class TestParseMethodFile:
             parse_method_file(json.dumps(doc))
 
     def test_length_mismatch_names_array(self):
-        doc = json.loads(SAMPLE)
-        doc[0]["b"] = ["1/2", "1/2"]
-        with pytest.raises(MethodDimensionError, match="b"):
-            parse_method_file(json.dumps(doc))
+        # ButcherTableau checks every length, for parsed tableaus too
+        cases = [
+            ("b", ["1/2", "1/2"], "b has length 2"),
+            ("a", [["0", "0", "0"], ["1", "0", "0"]], "a must be a 3x3 matrix"),
+            ("a", [["0", "0", "0"], ["1", "0"], ["1/4", "1/4", "0"]],
+             "a must be a 3x3 matrix"),
+            ("c", ["0", "1", "1/2", "1"], "c has length 4"),
+            ("b", ["1"], "b has length 1"),
+            ("b_hat", ["1/6", "5/6"], "b_hat has length 2"),
+        ]
+        for key, value, message in cases:
+            doc = json.loads(SAMPLE)
+            doc[0][key] = value
+            with pytest.raises(MethodDimensionError, match=message):
+                parse_method_file(json.dumps(doc))
 
     def test_zero_denominator_is_value_error(self):
         doc = json.loads(SAMPLE)
