@@ -125,9 +125,10 @@ def cmd_generate(args) -> int:
         raise _usage_error("invalid-tableau", "; ".join(problems))
     try:
         manifest = generate_module_set(methods, args.out)
-    except (OSError, ValueError) as exc:
-        code = "io-failure" if isinstance(exc, OSError) else "invalid-tableau"
-        raise _runtime_error(code, str(exc)) from exc
+    except OSError as exc:
+        raise _runtime_error("io-failure", str(exc)) from exc
+    except ValueError as exc:
+        raise _usage_error("invalid-tableau", str(exc)) from exc
     _write_output(format_manifest(manifest), args.output)
     return 0
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import keyword
 import os
 import re
 import tempfile
@@ -42,6 +43,16 @@ _PLACEHOLDERS = frozenset({
     "method_name", "order", "embedded_order", "stages", "description",
     "constants", "arrays", "stage_lines", "y_update", "y_hat_update",
 })
+
+# The names a rendered module binds or reads at module scope besides its
+# drivers and its coefficient constants; a driver of the same name would
+# shadow it.
+_MODULE_NAMES = frozenset({
+    "np", "WIDE_N", "StepKernel", "Tolerances", "adaptive_integrate", "array_step",
+    "fixed_integrate", "integrate_info", "_ARRAYS", "_step", "KERNEL", "range",
+})
+
+_DRIVER_SUFFIX_RE = re.compile(r"^def \{\{method_name\}\}(\w*)\(", re.MULTILINE)
 
 
 class TemplateError(ValueError):
@@ -149,6 +160,15 @@ def _require_valid(t: ButcherTableau) -> None:
     if not report.ok:
         problems = "; ".join(str(v) for v in report.violations)
         raise ValueError(f"tableau {t.name!r} is invalid: {problems}")
+    if keyword.iskeyword(t.name) or keyword.iskeyword(t.name.lower()):
+        raise ValueError(f"method name {t.name!r} or its module name "
+                         f"{t.name.lower()!r} is a Python keyword")
+    a, b, b_hat, c = _names(t)
+    bound = _MODULE_NAMES.union(chain(*a, b, b_hat, c))
+    for suffix in _DRIVER_SUFFIX_RE.findall(_template()):
+        if t.name + suffix in bound:
+            raise ValueError(f"method name {t.name!r} gives a driver {t.name + suffix} "
+                             f"that shadows a name of the generated module")
 
 
 def render_method_module(t: ButcherTableau) -> str:
@@ -187,8 +207,9 @@ def generate_module_set(methods, out_dir: str | Path):
     """Write one solver module per method plus the registry index.
 
     Returns the manifest: a list of (relative path, sha256 hex) pairs sorted
-    by path.  Files are replaced atomically; duplicate method names and
-    invalid tableaus abort before anything is written.
+    by path.  Files are replaced atomically; duplicate method names, invalid
+    tableaus and names the module cannot use (a keyword, or a driver that
+    shadows a module name) abort before anything is written.
     """
     methods = list(methods)
     seen = {}

@@ -157,14 +157,10 @@ class StepKernel:
 class IntegrationOptions:
     h0: float | None = None          # default (t_stop - t_start) / 100
     max_steps: int = 10 ** 6
-    h_min: float | None = None       # default 1e4 * eps * max(|t0|, |t1|, 1)
-    propagate_embedded: bool = False
 
     def __post_init__(self):
-        for name in ("h0", "h_min"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ArgumentError(f"{name} must be positive, got {value!r}")
+        if self.h0 is not None and not self.h0 > 0:
+            raise ArgumentError(f"h0 must be positive, got {self.h0!r}")
         if not self.max_steps >= 1:
             raise ArgumentError(f"max_steps must be at least 1, got {self.max_steps!r}")
 
@@ -403,8 +399,7 @@ def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances,
     f, y = _entry_check(prob, y_0, t_start, t_stop, h)
     cp = ControllerParams.for_order(kernel.order)
     step = kernel.step
-    h_min = opts.h_min if opts.h_min is not None else (
-        1e4 * np.finfo(float).eps * max(abs(t_start), abs(t_stop), 1.0))
+    h_min = 1e4 * np.finfo(float).eps * max(abs(t_start), abs(t_stop), 1.0)
 
     t = t_start
     e_prev = 1.0
@@ -419,6 +414,8 @@ def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances,
                 t, y, _step_log(attempts))
         h_use = min(h, t_stop - t)
         if h_use < h_min and t + h_use < t_stop:
+            if not attempts:
+                raise ArgumentError(f"initial step size {h_use} is below h_min = {h_min}")
             raise StepSizeUnderflow(
                 f"step size underflow: h = {h_use} < h_min = {h_min} at t = {t} "
                 f"after {len(attempts)} step attempts", t, y, _step_log(attempts))
@@ -428,7 +425,7 @@ def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances,
         e_m = error_norm(y_next, y_hat_next, tol)
         accepted = e_m <= 1.0
         if accepted:
-            y = y_hat_next if opts.propagate_embedded else y_next
+            y = y_next
             t = t_stop if h_use >= t_stop - t else min(t + h_use, t_stop)
             if record_states:
                 states.append(y.copy())
@@ -472,10 +469,12 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
     """Uniform steps of size h, final step truncated to land on t_stop.
 
     No error control; the embedded solution is computed but unused.  Of
-    ``options`` only max_steps applies: a run of more steps raises
-    ArgumentError before the first rhs call.
+    ``options`` only max_steps applies: a run of more steps, or a set h0,
+    raises ArgumentError before the first rhs call.
     """
     f, y = _entry_check(prob, y_0, t_start, t_stop, h)
+    if options is not None and options.h0 is not None:
+        raise ArgumentError(f"h0 applies only to adaptive runs, got h0 = {options.h0!r}")
     max_steps = (options or IntegrationOptions()).max_steps
     # compared before ceil, which raises OverflowError when span / h is inf
     span_steps = (t_stop - t_start) / h - 1e-9
@@ -501,5 +500,5 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
         if not last:
             times[m + 1], states[m + 1] = t, y
     if last:
-        return t, y
+        return float(t), y
     return Trajectory(times=times, states=states)

@@ -32,9 +32,6 @@ __all__ = [
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 _IDENTIFIER_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
-_METHOD_KEYS = ("name", "description", "stage", "order", "extrapolation_order",
-                "a", "b", "b_hat", "c")
-
 
 class TableauError(ValueError):
     """Base class for method-file and coefficient errors."""

@@ -54,6 +54,14 @@ class TestValidate:
         assert code == 2
         assert "forge: error[invalid-method-file]" in err
 
+    def test_strict_lists_warnings(self, capsys):
+        # the 8(7) table's published rationals carry a tiny order-2 residual
+        code, out, err = run(capsys, "validate", "--strict")
+        assert code == 0 and err == ""
+        assert out.count(": ok") == 9
+        assert re.search(r"^DOPRI8: warning: sum of b_j c_j differs from 1/2 by ", out,
+                         re.MULTILINE)
+
 
 class TestGenerate:
     def test_manifest_ten_files(self, capsys, tmp_path):
@@ -100,6 +108,28 @@ class TestGenerate:
             assert line.startswith("forge: error[invalid-method-file] ")
             assert "'erk43b'" in line and "'ERK43b'" in line
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("name", ["Class", "KERNEL", "np", "A_2_1"])
+    def test_unusable_method_name_exit_2(self, capsys, tmp_path, name):
+        # each would give a module that breaks on import or on its first solve
+        [erk] = [m for m in json.loads(shipped_method_path().read_text())
+                 if m["name"] == "ERK43b"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([{**erk, "name": name}]))
+        out_dir = tmp_path / "g"
+        code, out, err = run(capsys, "generate", "--methods", str(path), "--out", str(out_dir))
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"forge: error[invalid-tableau] method name {name!r}")
+        assert not out_dir.exists()
+
+    def test_out_is_a_file_exit_1(self, capsys, tmp_path):
+        out_file = tmp_path / "g"
+        out_file.write_text("")
+        code, out, err = run(capsys, "generate", "--out", str(out_file))
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("forge: error[io-failure] ")
 
 
 class TestSolve:
@@ -204,6 +234,10 @@ class TestSolve:
         (*SOLVE_VDP, "--h", "1e-300", "--output-kind", "last"),
         (*SOLVE_VDP, "--h", "5e-324", "--output-kind", "last"),
         (*SOLVE_VDP, "--h", "0.01", "--max-steps", "1199"),
+        (*SOLVE_VDP, "--atol", "1e-6", "--rtol", "1e-6", "--h0", "1e-300"),
+        (*SOLVE_VDP, "--h", "0.5", "--h0", "0.1", "--output-kind", "last"),
+        (*SOLVE_VDP, "--atol", "1e-6"),
+        (*SOLVE_VDP, "--h", "0.1", "--output-kind", "steplog"),
     ])
     def test_bad_flag_values_exit_2(self, capsys, flags):
         code, out, err = run(capsys, *flags)
@@ -282,6 +316,15 @@ class TestReport:
         for name in ("DOPRI5", "Fehlberg45", "DOPRI8"):
             assert by_name[name][1] == "ok"
             assert float(by_name[name][2]) <= 1e-6
+
+    def test_arenstorf_table_with_failed_row(self, capsys):
+        code, out, err = run(capsys, "report", "--kind", "arenstorf-table",
+                             "--method", "DOPRI5", "--max-steps", "5")
+        assert code == 1
+        assert parse_csv(out) == (["method", "status", "closure_error"],
+                                  [["DOPRI5", "failed", ""]])
+        [line] = err.splitlines()
+        assert line.startswith("forge: warning[DOPRI5] no convergence within 5 step attempts")
 
     def test_convergence_table(self, capsys):
         code, out, _ = run(capsys, "report", "--kind", "convergence",

@@ -2,6 +2,7 @@ import ast
 import re
 import sys
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import rkforge
 from rkforge import shipped_methods
 from rkforge.codegen import (
+    _MODULE_NAMES,
     TemplateError,
     check_template,
     format_manifest,
@@ -102,6 +104,31 @@ class TestRenderSolverSource:
                          c=(t.c[0], t.c[1], t.c[2] + 1))
         with pytest.raises(ValueError, match="invalid"):
             render_method_module(broken)
+
+    def test_module_names_match_a_rendered_module(self):
+        # every name the module binds or reads at module scope, less its
+        # drivers, its coefficient constants and the locals of its functions
+        tree = ast.parse(render_method_module(TABLEAUS["DOPRI5"]))
+        functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {a.asname or a.name for n in tree.body
+                  if isinstance(n, ast.ImportFrom | ast.Import) for a in n.names}
+        names |= {fn.name for fn in functions}
+        local = {a.arg for fn in functions for a in fn.args.args}
+        local |= {n.id for fn in functions for n in ast.walk(fn)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        drivers = {"DOPRI5" + s for s in ("", "_last", "_info", "_fixed", "_fixed_last")}
+        constants = {n for n in names if re.fullmatch(r"A_\d+_\d+|BH?_\d+|C_\d+", n)}
+        assert names - local - drivers - constants == _MODULE_NAMES
+
+    @pytest.mark.parametrize("name", ["Class", "None", "KERNEL", "np", "range", "A_2_1",
+                                      "integrate"])
+    def test_unusable_method_names_refused(self, tmp_path, name):
+        # a keyword as method or module name, or a driver (integrate gives
+        # integrate_info) that shadows a name the module uses
+        with pytest.raises(ValueError, match=f"method name {name!r}"):
+            generate_module_set([replace(TABLEAUS["ERK43b"], name=name)], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_description_with_placeholder_syntax(self, tmp_path):
         # method text is substituted, never rescanned for placeholders

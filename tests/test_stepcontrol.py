@@ -251,17 +251,6 @@ class TestAdaptiveIntegrate:
         span = log.accepted_h.sum()
         assert abs(span - 20.0) <= 1e-12 * 20.0
 
-    def test_propagate_embedded_option(self):
-        opts = IntegrationOptions(propagate_embedded=True)
-        _, y_main = adaptive_integrate(kernel("DOPRI5"), lambda t, y: y,
-                                       Tolerances(1e-8, 1e-8), np.array([1.0]),
-                                       0.0, 1.0, last=True)
-        _, y_emb = adaptive_integrate(kernel("DOPRI5"), lambda t, y: y,
-                                      Tolerances(1e-8, 1e-8), np.array([1.0]),
-                                      0.0, 1.0, last=True, options=opts)
-        assert y_main[0] != y_emb[0]
-        assert abs(y_emb[0] - math.e) < 1e-6
-
     def test_max_steps_guard(self):
         opts = IntegrationOptions(max_steps=5)
         with pytest.raises(MaxStepsExceeded) as exc:
@@ -299,12 +288,12 @@ class TestAdaptiveIntegrate:
         assert float(h) in (log.accepted_h[-1], log.rejected_h[-1])
 
         # every step that crosses t = 0.5 meets a NaN and is rejected, so h
-        # shrinks until it underflows h_min
+        # shrinks until it falls below the floor h_min
         def rhs(t, y):
             return np.array([math.nan if t > 0.5 else 1.0])
         with pytest.raises(StepSizeUnderflow) as exc:
             integrate_info(kernel("DOPRI5"), rhs, Tolerances(1e-8, 1e-8), np.array([0.0]),
-                           0.0, 1.0, options=IntegrationOptions(h_min=1e-6))
+                           0.0, 1.0)
         log = exc.value.log
         attempts = log.accepted_t.size + log.rejected_t.size
         assert log.rejected_t.size > 0
@@ -314,10 +303,9 @@ class TestAdaptiveIntegrate:
         # discontinuous rhs forces endless rejections at the jump
         def rhs(t, y):
             return np.array([1.0 if t < 0.5 else 1e12])
-        opts = IntegrationOptions(h_min=1e-6)
-        with pytest.raises((StepSizeUnderflow, MaxStepsExceeded)):
+        with pytest.raises(StepSizeUnderflow):
             adaptive_integrate(kernel("DOPRI5"), rhs, Tolerances(1e-12, 1e-12),
-                               np.array([0.0]), 0.0, 1.0, options=opts)
+                               np.array([0.0]), 0.0, 1.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_trial_steps_recover_or_underflow(self):
@@ -398,6 +386,26 @@ class TestFixedIntegrate:
         assert traj.times.size == max_steps + 1 and traj.times[-1] == 12.0
         assert f.calls == 5 * max_steps
 
+    @pytest.mark.parametrize("last", [False, True])
+    def test_h0_refused_before_first_rhs_call(self, last):
+        # h0 sets only the first adaptive step; a fixed run has no use for it
+        f = CountingRhs()
+        with pytest.raises(ArgumentError, match="h0 applies only to adaptive runs"):
+            fixed_integrate(kernel("DOPRI5"), f, 0.1, np.array([1.0]), 0.0, 1.0,
+                            last=last, options=IntegrationOptions(h0=0.1))
+        assert f.calls == 0
+
+    @pytest.mark.parametrize("t_stop", [1, np.float64(1.0), 1.0],
+                             ids=["int", "float64", "float"])
+    def test_last_returns_a_float_time(self, t_stop):
+        # as adaptive_integrate(last=True) does, whatever type t_stop has
+        from rkforge.generated import dopri5
+        for t, _ in (
+                dopri5.DOPRI5_fixed_last(lambda t, y: y, 0.1, np.array([1.0]), 0, t_stop),
+                fixed_integrate(kernel("ERK43b"), lambda t, y: y, 0.3, np.array([1.0]),
+                                0, t_stop, last=True)):
+            assert type(t) is float and t == 1.0
+
 
 def test_problem_dimension_must_match_initial_state():
     # a 3-dimensional problem started from a 2-vector would silently drop a
@@ -420,7 +428,6 @@ def test_problem_dimension_must_match_initial_state():
 
 @pytest.mark.parametrize("kwargs", [
     {"h0": 0.0}, {"h0": -0.1}, {"h0": math.nan},
-    {"h_min": 0.0}, {"h_min": -1e-9}, {"h_min": math.nan},
     {"max_steps": 0}, {"max_steps": -3},
 ])
 def test_integration_options_validate_when_built(kwargs):
@@ -441,10 +448,12 @@ class CountingRhs:
 
 TOL = Tolerances(1e-6, 1e-6)
 DRIVERS = {
-    "adaptive": lambda k, f, y_0, t0, t1: adaptive_integrate(k, f, TOL, y_0, t0, t1),
-    "adaptive_last": lambda k, f, y_0, t0, t1: adaptive_integrate(k, f, TOL, y_0, t0, t1,
-                                                                  last=True),
-    "integrate_info": lambda k, f, y_0, t0, t1: integrate_info(k, f, TOL, y_0, t0, t1),
+    "adaptive": lambda k, f, y_0, t0, t1, **kw: adaptive_integrate(k, f, TOL, y_0, t0, t1,
+                                                                   **kw),
+    "adaptive_last": lambda k, f, y_0, t0, t1, **kw: adaptive_integrate(k, f, TOL, y_0, t0, t1,
+                                                                        last=True, **kw),
+    "integrate_info": lambda k, f, y_0, t0, t1, **kw: integrate_info(k, f, TOL, y_0, t0, t1,
+                                                                     **kw),
     "fixed": lambda k, f, y_0, t0, t1: fixed_integrate(k, f, 0.1, y_0, t0, t1),
     "fixed_last": lambda k, f, y_0, t0, t1: fixed_integrate(k, f, 0.1, y_0, t0, t1, last=True),
 }
@@ -460,6 +469,20 @@ def test_entry_check_refuses_nonfinite_interval(driver, t_start, t_stop):
     with pytest.raises(ArgumentError, match="finite t_start < t_stop"):
         DRIVERS[driver](kernel("DOPRI5"), f, np.array([1.0]), t_start, t_stop)
     assert f.calls == 0
+
+
+@pytest.mark.parametrize("driver", ["adaptive", "adaptive_last", "integrate_info"])
+def test_first_step_below_the_floor_is_refused(driver):
+    # h_min is 1e4 * eps * max(|t_start|, |t_stop|, 1), about 2.2e-12 here
+    f = CountingRhs()
+    run = DRIVERS[driver]
+    with pytest.raises(ArgumentError, match="initial step size 1e-300 is below h_min"):
+        run(kernel("DOPRI5"), f, np.array([1.0]), 0.0, 1.0,
+            options=IntegrationOptions(h0=1e-300))
+    assert f.calls == 0
+    # a first step below the floor that reaches t_stop is taken
+    run(kernel("DOPRI5"), f, np.array([1.0]), 0.0, 1e-12, options=IntegrationOptions(h0=1.0))
+    assert f.calls == 7
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
