@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import shipped_method_path
-from .codegen import format_manifest, generate_module_set
+from .codegen import format_manifest, generate_module_set, name_problem
 from .problems import PROBLEM_NAMES, benchmark_case, closure_error
 from .stepcontrol import (
     ArgumentError,
@@ -139,12 +139,14 @@ def cmd_validate(args) -> int:
     lines = []
     for t in methods:
         report = validate_tableau(t, strict=args.strict)
-        if report.ok:
-            lines.append(f"{t.name}: ok")
-        else:
+        violations = [str(v) for v in report.violations]
+        if problem := name_problem(t):
+            violations.append(problem)
+        if violations:
             bad = True
-            for v in report.violations:
-                lines.append(f"{t.name}: violation: {v}")
+            lines.extend(f"{t.name}: violation: {v}" for v in violations)
+        else:
+            lines.append(f"{t.name}: ok")
         for w in report.warnings:
             lines.append(f"{t.name}: warning: {w}")
     _write_output("\n".join(lines), args.output)
@@ -385,8 +387,6 @@ def main(argv=None) -> int:
         code, message, exit_code = exc.code, exc, exc.exit_code
     except ArgumentError as exc:
         code, message, exit_code = "bad-flags", exc, 2
-    except TableauError as exc:
-        code, message, exit_code = "invalid-method-file", exc, 2
     print(f"forge: error[{code}] {message}", file=sys.stderr)
     return exit_code
 

@@ -30,6 +30,7 @@ from .tableau import ButcherTableau, render_coefficient_literal, validate_tablea
 __all__ = [
     "TemplateError",
     "check_template",
+    "name_problem",
     "render_method_module",
     "generate_module_set",
     "format_manifest",
@@ -155,20 +156,32 @@ def _placeholder_values(t: ButcherTableau) -> dict:
     }
 
 
+def name_problem(t: ButcherTableau) -> str | None:
+    """Why the generated module cannot use ``t.name``, or None if it can.
+
+    A name is unusable when it or its lowercase module name is a keyword, or
+    when one of its drivers (NAME, NAME_last, ...) equals a name the module
+    binds or reads: _MODULE_NAMES or a coefficient constant.
+    """
+    if keyword.iskeyword(t.name) or keyword.iskeyword(t.name.lower()):
+        return (f"method name {t.name!r} or its module name "
+                f"{t.name.lower()!r} is a Python keyword")
+    a, b, b_hat, c = _names(t)
+    bound = _MODULE_NAMES.union(chain(*a, b, b_hat, c))
+    for suffix in _DRIVER_SUFFIX_RE.findall(_template()):
+        if t.name + suffix in bound:
+            return (f"method name {t.name!r} gives a driver {t.name + suffix} "
+                    f"that shadows a name of the generated module")
+    return None
+
+
 def _require_valid(t: ButcherTableau) -> None:
     report = validate_tableau(t)
     if not report.ok:
         problems = "; ".join(str(v) for v in report.violations)
         raise ValueError(f"tableau {t.name!r} is invalid: {problems}")
-    if keyword.iskeyword(t.name) or keyword.iskeyword(t.name.lower()):
-        raise ValueError(f"method name {t.name!r} or its module name "
-                         f"{t.name.lower()!r} is a Python keyword")
-    a, b, b_hat, c = _names(t)
-    bound = _MODULE_NAMES.union(chain(*a, b, b_hat, c))
-    for suffix in _DRIVER_SUFFIX_RE.findall(_template()):
-        if t.name + suffix in bound:
-            raise ValueError(f"method name {t.name!r} gives a driver {t.name + suffix} "
-                             f"that shadows a name of the generated module")
+    if problem := name_problem(t):
+        raise ValueError(problem)
 
 
 def render_method_module(t: ButcherTableau) -> str:

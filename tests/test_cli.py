@@ -54,6 +54,20 @@ class TestValidate:
         assert code == 2
         assert "forge: error[invalid-method-file]" in err
 
+    @pytest.mark.parametrize("name", ["Class", "KERNEL"])
+    def test_unusable_method_name_is_a_violation(self, capsys, tmp_path, name):
+        # the name rule `forge generate` applies is reported by validate too
+        [erk] = [m for m in json.loads(shipped_method_path().read_text())
+                 if m["name"] == "ERK43b"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([{**erk, "name": name}]))
+        code, out, err = run(capsys, "validate", "--methods", str(path))
+        assert code == 2
+        assert out.startswith(f"{name}: violation: method name {name!r}")
+        assert ": ok" not in out
+        [line] = err.splitlines()
+        assert line.startswith("forge: error[invalid-tableau] ")
+
     def test_strict_lists_warnings(self, capsys):
         # the 8(7) table's published rationals carry a tiny order-2 residual
         code, out, err = run(capsys, "validate", "--strict")
@@ -107,6 +121,25 @@ class TestGenerate:
             [line] = err.splitlines()
             assert line.startswith("forge: error[invalid-method-file] ")
             assert "'erk43b'" in line and "'ERK43b'" in line
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "generate"])
+    @pytest.mark.parametrize("text", [
+        "[{]",                                   # not JSON
+        '[{"name": "x"}]',                       # keys missing
+        json.dumps([{"name": "short_b", "description": "", "stage": 2, "order": 1,
+                     "extrapolation_order": 2, "a": [["0", "0"], ["1", "0"]],
+                     "b": ["1"], "b_hat": ["1", "0"], "c": ["0", "1"]}]),
+    ], ids=["unparseable", "missing-keys", "short-b"])
+    def test_bad_method_file_one_error_line(self, capsys, tmp_path, command, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        out_dir = tmp_path / "g"
+        extra = ("--out", str(out_dir)) if command == "generate" else ()
+        code, out, err = run(capsys, command, "--methods", str(path), *extra)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("forge: error[invalid-method-file] ")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("name", ["Class", "KERNEL", "np", "A_2_1"])

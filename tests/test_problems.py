@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,10 @@ import pytest
 from rkforge.generated import dopri5, erk43b
 from rkforge.problems import (
     ARENSTORF_PERIOD,
+    RIGID_BODY_I1,
+    RIGID_BODY_I2,
+    RIGID_BODY_I3,
+    VDP_MU,
     ArenstorfParams,
     SingularityError,
     arenstorf_hamiltonian,
@@ -126,6 +131,95 @@ class TestArenstorf:
         assert closure_error(state, state) == 0.0
         end = state + np.array([5.0, 5.0, 3e-13, 4e-13])  # momenta excluded
         assert closure_error(end, state) == pytest.approx(5e-13, rel=1e-12)
+
+
+# The rhs formulas evaluated on numpy scalars, as unpacking an array yields
+# them: the float-path rhs must give the same bits.
+def _vdp_on_numpy_scalars(y):
+    x1, x2 = y
+    return np.array([x2, VDP_MU * (1.0 - x1 * x1) * x2 - x1])
+
+
+def _rigid_body_on_numpy_scalars(y):
+    x1, x2, x3 = y
+    return np.array([RIGID_BODY_I1 * x2 * x3, RIGID_BODY_I2 * x1 * x3,
+                     RIGID_BODY_I3 * x1 * x2])
+
+
+def _brusselator_on_numpy_scalars(y):
+    x1, x2 = y
+    return np.array([1.0 + x1 * x1 * x2 - 4.0 * x1, 3.0 * x1 - x1 * x1 * x2])
+
+
+def _arenstorf_on_numpy_scalars(y, params):
+    p_x, p_y, q_x, q_y = y
+    r1 = math.sqrt((q_x - params.mu2) ** 2 + q_y ** 2)
+    r2 = math.sqrt((q_x + params.mu1) ** 2 + q_y ** 2)
+    r1c = r1 ** 3
+    r2c = r2 ** 3
+    df_dqx = -params.mu1 * (q_x - params.mu2) / r1c - params.mu2 * (q_x + params.mu1) / r2c
+    df_dqy = -params.mu1 * q_y / r1c - params.mu2 * q_y / r2c
+    return np.array([p_y + df_dqx, -p_x + df_dqy, p_x + q_y, p_y - q_x])
+
+
+def _seeded_states(label: str, n: int, count: int = 3000):
+    """Deterministic states with magnitudes 1e-3 to 1e2 and random signs."""
+    rng = np.random.default_rng(zlib.crc32(label.encode()))
+    sign = rng.choice([-1.0, 1.0], size=(count, n))
+    return sign * 10.0 ** rng.uniform(-3.0, 2.0, size=(count, n))
+
+
+def _rhs_pairs():
+    """(label, rhs under test, numpy-scalar reference, dimension), with the
+    label as the test id."""
+    pairs = []
+    for name, rhs, ref, n in (("vdp", vdp_rhs, _vdp_on_numpy_scalars, 2),
+                              ("rigid-body", rigid_body_rhs, _rigid_body_on_numpy_scalars, 3),
+                              ("brusselator", brusselator_rhs,
+                               _brusselator_on_numpy_scalars, 2)):
+        pairs.append((name, rhs, ref, n))
+        pairs.append((f"{name} case", benchmark_case(name).problem.rhs, ref, n))
+    for group in (1, 2, 3):
+        params = arenstorf_initials(group)[1]
+        ref = lambda y, params=params: _arenstorf_on_numpy_scalars(y, params)
+        pairs.append((f"arenstorf_rhs group {group}",
+                      lambda t, y, params=params: arenstorf_rhs(t, y, params), ref, 4))
+        pairs.append((f"arenstorf:{group} case",
+                      benchmark_case(f"arenstorf:{group}").problem.rhs, ref, 4))
+    return [pytest.param(*pair, id=pair[0]) for pair in pairs]
+
+
+class TestFloatPathBitIdentity:
+    @pytest.mark.parametrize("label, rhs, ref, n", _rhs_pairs())
+    def test_same_bits_as_numpy_scalars(self, label, rhs, ref, n):
+        for y in _seeded_states(label, n):
+            got = rhs(0.0, y)
+            want = ref(y)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tobytes() == want.tobytes(), (y.tolist(), got, want)
+
+    def test_default_params_are_group_1(self):
+        params = arenstorf_initials(1)[1]
+        for y in _seeded_states("default params", 4, count=200):
+            assert arenstorf_rhs(0.0, y).tobytes() == \
+                _arenstorf_on_numpy_scalars(y, params).tobytes()
+
+
+class TestCollision:
+    # the body of mass mu1 sits at q = (mu2, 0), the one of mass mu2 at
+    # q = (-mu1, 0); each entry point must refuse a state on either
+    @pytest.mark.parametrize("group", [1, 3])
+    @pytest.mark.parametrize("body", ["mu1 body", "mu2 body"])
+    def test_each_body_raises_everywhere(self, group, body):
+        params = arenstorf_initials(group)[1]
+        q_x = params.mu2 if body == "mu1 body" else -params.mu1
+        state = np.array([0.3, -0.2, q_x, 0.0])
+        case_rhs = benchmark_case(f"arenstorf:{group}").problem.rhs
+        for call in (lambda: arenstorf_rhs(0.0, state, params),
+                     lambda: case_rhs(0.0, state),
+                     lambda: arenstorf_hamiltonian(state, params)):
+            with pytest.raises(SingularityError, match="collision"):
+                call()
 
 
 class TestBenchmarkCases:
