@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import shipped_method_path
-from .codegen import format_manifest, generate_module_set, name_problem
+from .codegen import format_manifest, generate_module_set, violation_lines
 from .problems import PROBLEM_NAMES, benchmark_case, closure_error
 from .stepcontrol import (
     ArgumentError,
@@ -28,7 +28,7 @@ from .stepcontrol import (
     integrate_info,
     interpreted_kernel,
 )
-from .tableau import TableauError, parse_method_file, validate_tableau
+from .tableau import TableauError, parse_method_file, strict_warnings, validate_tableau
 
 __all__ = ["main", "kernel_seconds"]
 
@@ -114,15 +114,10 @@ def _case(name: str):
 
 def cmd_generate(args) -> int:
     methods = _load_methods(args.methods)
-    problems = []
-    for t in methods:
-        report = validate_tableau(t, strict=args.strict)
-        for v in report.violations:
-            problems.append(f"{t.name}: {v}")
-        for w in report.warnings:
-            print(f"forge: warning[{t.name}] {w}", file=sys.stderr)
-    if problems:
-        raise _usage_error("invalid-tableau", "; ".join(problems))
+    if args.strict:
+        for t in methods:
+            for w in strict_warnings(t):
+                print(f"forge: warning[{t.name}] {w}", file=sys.stderr)
     try:
         manifest = generate_module_set(methods, args.out)
     except OSError as exc:
@@ -139,12 +134,9 @@ def cmd_validate(args) -> int:
     lines = []
     for t in methods:
         report = validate_tableau(t, strict=args.strict)
-        violations = [str(v) for v in report.violations]
-        if problem := name_problem(t):
-            violations.append(problem)
-        if violations:
+        if violations := violation_lines(t, report):
             bad = True
-            lines.extend(f"{t.name}: violation: {v}" for v in violations)
+            lines.extend(violations)
         else:
             lines.append(f"{t.name}: ok")
         for w in report.warnings:

@@ -30,7 +30,7 @@ from .tableau import ButcherTableau, render_coefficient_literal, validate_tablea
 __all__ = [
     "TemplateError",
     "check_template",
-    "name_problem",
+    "violation_lines",
     "render_method_module",
     "generate_module_set",
     "format_manifest",
@@ -42,7 +42,7 @@ _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
 # other.
 _PLACEHOLDERS = frozenset({
     "method_name", "order", "embedded_order", "stages", "description",
-    "constants", "arrays", "stage_lines", "y_update", "y_hat_update",
+    "constants", "arrays", "stage_lines", "y_update", "y_hat_update", "last_stage",
 })
 
 # The names a rendered module binds or reads at module scope besides its
@@ -118,18 +118,33 @@ def _increment(names) -> str | None:
 
 
 def _stage_lines(a, c) -> str:
-    """Fully unrolled stage evaluations, one line per stage.
+    """Fully unrolled stage evaluations, one line per stage after the first.
 
     Stage values are kept as plain float lists and combined componentwise in
     Python, which beats array arithmetic on small systems, where numpy's
     per-operation dispatch dominates.  Above stepcontrol.WIDE_N components
     the generated _step calls stepcontrol.array_step instead.
     """
-    lines = ["    k1 = f(t, y).tolist()"]
+    lines = []
     for i in range(1, len(a)):
         time = f"t + {c[i]} * h" if c[i] else "t"
         lines.append(f"    k{i + 1} = f({time}, {_increment(a[i]) or 'y'}).tolist()")
     return "\n".join(lines)
+
+
+def _last_stage(a, b, c) -> str:
+    """The expression _step hands back as the next step's k1, or "None".
+
+    The last stage is f(t + h, y_next) when its row of a has b's nonzero
+    pattern (so b_s = 0) and, checked at call time, those constants equal
+    b's and c_s is 1.0: its input then sums the same floats as y_next in the
+    same order.  A patched weight thus turns the reuse off.
+    """
+    if [n is None for n in a[-1]] != [n is None for n in b] or c[-1] is None:
+        return "None"
+    last_row = ", ".join(n for n in a[-1] if n)
+    weights = ", ".join(n for n in b if n)
+    return f"k{len(a)} if ({last_row}, {c[-1]}) == ({weights}, 1.0) else None"
 
 
 def _docstring_safe(text: str) -> str:
@@ -153,10 +168,11 @@ def _placeholder_values(t: ButcherTableau) -> dict:
         "stage_lines": _stage_lines(a, c),
         "y_update": _increment(b),
         "y_hat_update": _increment(b_hat),
+        "last_stage": _last_stage(a, b, c),
     }
 
 
-def name_problem(t: ButcherTableau) -> str | None:
+def _name_problem(t: ButcherTableau) -> str | None:
     """Why the generated module cannot use ``t.name``, or None if it can.
 
     A name is unusable when it or its lowercase module name is a keyword, or
@@ -175,18 +191,27 @@ def name_problem(t: ButcherTableau) -> str | None:
     return None
 
 
-def _require_valid(t: ButcherTableau) -> None:
-    report = validate_tableau(t)
-    if not report.ok:
-        problems = "; ".join(str(v) for v in report.violations)
-        raise ValueError(f"tableau {t.name!r} is invalid: {problems}")
-    if problem := name_problem(t):
-        raise ValueError(problem)
+def violation_lines(t: ButcherTableau, report) -> list[str]:
+    """Why no module can be generated for t, as `forge validate` words it:
+    one "NAME: violation: ..." line per violation in ``report`` (t's
+    validate_tableau report), then one for an unusable method name."""
+    found = [str(v) for v in report.violations]
+    if problem := _name_problem(t):
+        found.append(problem)
+    return [f"{t.name}: violation: {v}" for v in found]
+
+
+def _require_valid(methods) -> None:
+    """Raise ValueError listing every violation of ``methods``, validating
+    each tableau once."""
+    found = [line for t in methods for line in violation_lines(t, validate_tableau(t))]
+    if found:
+        raise ValueError("; ".join(found))
 
 
 def render_method_module(t: ButcherTableau) -> str:
     """Full per-method module: constants, step kernel and all five drivers."""
-    _require_valid(t)
+    _require_valid([t])
     return _render(_template(), _placeholder_values(t))
 
 
@@ -222,7 +247,9 @@ def generate_module_set(methods, out_dir: str | Path):
     Returns the manifest: a list of (relative path, sha256 hex) pairs sorted
     by path.  Files are replaced atomically; duplicate method names, invalid
     tableaus and names the module cannot use (a keyword, or a driver that
-    shadows a module name) abort before anything is written.
+    shadows a module name) abort before anything is written, with a
+    ValueError that lists every violation_lines line.  Each tableau is
+    validated once.
     """
     methods = list(methods)
     seen = {}
@@ -232,7 +259,9 @@ def generate_module_set(methods, out_dir: str | Path):
             raise ValueError(
                 f"duplicate method name {t.name!r} (collides with {seen[key]!r})")
         seen[key] = t.name
-    rendered = [(f"{t.name.lower()}.py", render_method_module(t)) for t in methods]
+    _require_valid(methods)
+    rendered = [(f"{t.name.lower()}.py", _render(_template(), _placeholder_values(t)))
+                for t in methods]
     rendered.append(("__init__.py", _index_source(methods)))
 
     out_dir = Path(out_dir)

@@ -72,19 +72,20 @@ _ARRAYS = (
 )
 
 
-def _step(f, t, y, h):
+def _step(f, t, y, h, reuse=None):
     """One embedded step from (t, y); returns the main and companion updates.
 
     y is a float array and f must return one (the drivers guarantee both).
     Up to WIDE_N components the unrolled stage arithmetic runs on plain
     floats, which is faster than array operations for small systems; above
-    it the shared array-driven kernel takes over.
+    it the shared array-driven kernel takes over.  ``reuse`` carries stage
+    values between the drivers' attempts, as StepKernel describes.
     """
     if y.shape[0] > WIDE_N:
-        return array_step(_ARRAYS, f, t, y, h)[:2]
+        return array_step(_ARRAYS, f, t, y, h, reuse)[:2]
     r = range(y.shape[0])
     yl = y.tolist()
-    k1 = f(t, y).tolist()
+    k1 = f(t, y).tolist() if reuse is None or reuse[0] is None else reuse[0]
     k2 = f(t + C_2 * h, np.array([yl[a] + h * (A_2_1 * k1[a]) for a in r])).tolist()
     k3 = f(t + C_3 * h, np.array([yl[a] + h * (A_3_1 * k1[a] + A_3_2 * k2[a]) for a in r])).tolist()
     k4 = f(t + C_4 * h, np.array([yl[a] + h * (A_4_1 * k1[a] + A_4_2 * k2[a] + A_4_3 * k3[a]) for a in r])).tolist()
@@ -93,6 +94,8 @@ def _step(f, t, y, h):
     k7 = f(t + C_7 * h, np.array([yl[a] + h * (A_7_1 * k1[a] + A_7_3 * k3[a] + A_7_4 * k4[a] + A_7_5 * k5[a] + A_7_6 * k6[a]) for a in r])).tolist()
     y_next = np.array([yl[a] + h * (B_1 * k1[a] + B_3 * k3[a] + B_4 * k4[a] + B_5 * k5[a] + B_6 * k6[a]) for a in r])
     y_hat_next = np.array([yl[a] + h * (BH_1 * k1[a] + BH_3 * k3[a] + BH_4 * k4[a] + BH_5 * k5[a] + BH_6 * k6[a] + BH_7 * k7[a]) for a in r])
+    if reuse is not None:
+        reuse[:] = k1, k7 if (A_7_1, A_7_3, A_7_4, A_7_5, A_7_6, C_7) == (B_1, B_3, B_4, B_5, B_6, 1.0) else None
     return y_next, y_hat_next
 
 

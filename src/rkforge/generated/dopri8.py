@@ -129,19 +129,20 @@ _ARRAYS = (
 )
 
 
-def _step(f, t, y, h):
+def _step(f, t, y, h, reuse=None):
     """One embedded step from (t, y); returns the main and companion updates.
 
     y is a float array and f must return one (the drivers guarantee both).
     Up to WIDE_N components the unrolled stage arithmetic runs on plain
     floats, which is faster than array operations for small systems; above
-    it the shared array-driven kernel takes over.
+    it the shared array-driven kernel takes over.  ``reuse`` carries stage
+    values between the drivers' attempts, as StepKernel describes.
     """
     if y.shape[0] > WIDE_N:
-        return array_step(_ARRAYS, f, t, y, h)[:2]
+        return array_step(_ARRAYS, f, t, y, h, reuse)[:2]
     r = range(y.shape[0])
     yl = y.tolist()
-    k1 = f(t, y).tolist()
+    k1 = f(t, y).tolist() if reuse is None or reuse[0] is None else reuse[0]
     k2 = f(t + C_2 * h, np.array([yl[a] + h * (A_2_1 * k1[a]) for a in r])).tolist()
     k3 = f(t + C_3 * h, np.array([yl[a] + h * (A_3_1 * k1[a] + A_3_2 * k2[a]) for a in r])).tolist()
     k4 = f(t + C_4 * h, np.array([yl[a] + h * (A_4_1 * k1[a] + A_4_3 * k3[a]) for a in r])).tolist()
@@ -156,6 +157,8 @@ def _step(f, t, y, h):
     k13 = f(t + C_13 * h, np.array([yl[a] + h * (A_13_1 * k1[a] + A_13_4 * k4[a] + A_13_5 * k5[a] + A_13_6 * k6[a] + A_13_7 * k7[a] + A_13_8 * k8[a] + A_13_9 * k9[a] + A_13_10 * k10[a] + A_13_11 * k11[a]) for a in r])).tolist()
     y_next = np.array([yl[a] + h * (B_1 * k1[a] + B_6 * k6[a] + B_7 * k7[a] + B_8 * k8[a] + B_9 * k9[a] + B_10 * k10[a] + B_11 * k11[a] + B_12 * k12[a] + B_13 * k13[a]) for a in r])
     y_hat_next = np.array([yl[a] + h * (BH_1 * k1[a] + BH_6 * k6[a] + BH_7 * k7[a] + BH_8 * k8[a] + BH_9 * k9[a] + BH_10 * k10[a] + BH_11 * k11[a] + BH_12 * k12[a]) for a in r])
+    if reuse is not None:
+        reuse[:] = k1, None
     return y_next, y_hat_next
 
 

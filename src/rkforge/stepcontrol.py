@@ -141,10 +141,16 @@ class StepLog:
 
 @dataclass(frozen=True)
 class StepKernel:
-    """One embedded step: step(f, t, y, h) -> (y_next, y_hat_next).
+    """One embedded step: step(f, t, y, h, reuse=None) -> (y_next, y_hat_next).
 
     Both the generic interpreter kernel and every generated specialized
-    kernel satisfy this contract.
+    kernel satisfy this contract.  Without ``reuse`` a step evaluates every
+    stage.  The drivers pass one two-slot list per run instead: on entry
+    reuse[0] is k1 = f(t, y) or None; on return reuse[0] holds the k1 the step
+    used and reuse[1] the last stage when that is f(t + h, y_next) bit for
+    bit (first same as last), None otherwise.  So the drivers evaluate f once
+    per distinct (t, y): a retry after a rejection starts from the k1 it
+    already has, and an FSAL method's next step from the last stage.
     """
 
     name: str
@@ -216,17 +222,26 @@ def erk_step_generic(t: ButcherTableau, prob: ODEProblem, t_m: float,
     return array_step(_float_coefficients(t), f, t_m, y_m, h)
 
 
-def array_step(coefficients, f, t_m: float, y_m: np.ndarray, h: float):
+def array_step(coefficients, f, t_m: float, y_m: np.ndarray, h: float, reuse=None):
     """The array-driven kernel: erk_step_generic on float coefficients
-    (a, b, b_hat, c) and an rhs that returns (N,) float arrays."""
+    (a, b, b_hat, c) and an rhs that returns (N,) float arrays.
+
+    ``reuse`` works as in StepKernel.  The last stage counts as
+    f(t_m + h, y_next) only when c_s is 1.0 and its input has y_next's bytes:
+    equal rows of a and b are not enough, since a BLAS product over s - 1
+    stages may round differently from one over s.
+    """
     a, b, b_hat, c = coefficients
     k = np.empty((a.shape[0], y_m.shape[0]))
-    k[0] = f(t_m, y_m)
+    k[0] = f(t_m, y_m) if reuse is None or reuse[0] is None else reuse[0]
     for i in range(1, a.shape[0]):
         y_i = y_m + h * (a[i, :i] @ k[:i])
         k[i] = f(t_m + c[i] * h, y_i)
     y_next = y_m + h * (b @ k)
     y_hat_next = y_m + h * (b_hat @ k)
+    if reuse is not None:
+        last = c[-1] == 1.0 and y_i.tobytes() == y_next.tobytes()
+        reuse[:] = k[0], k[-1] if last else None
     return y_next, y_hat_next, k
 
 
@@ -240,8 +255,8 @@ def interpreted_kernel(t: ButcherTableau) -> StepKernel:
 
     coefficients = _float_coefficients(t)
 
-    def step(f, t_m, y_m, h):
-        y_next, y_hat_next, _ = array_step(coefficients, f, t_m, y_m, h)
+    def step(f, t_m, y_m, h, reuse=None):
+        y_next, y_hat_next, _ = array_step(coefficients, f, t_m, y_m, h, reuse)
         return y_next, y_hat_next
 
     return StepKernel(name=t.name, order=t.p, stages=t.s, step=step)
@@ -405,6 +420,7 @@ def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances,
     e_prev = 1.0
     states = [y.copy()] if record_states else None
     attempts: list[tuple] = []
+    reuse = [None, None]
 
     while t < t_stop:
         if len(attempts) >= opts.max_steps:
@@ -419,14 +435,16 @@ def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances,
             raise StepSizeUnderflow(
                 f"step size underflow: h = {h_use} < h_min = {h_min} at t = {t} "
                 f"after {len(attempts)} step attempts", t, y, _step_log(attempts))
-        y_next, y_hat_next = step(f, t, y, h_use)
+        y_next, y_hat_next = step(f, t, y, h_use, reuse)
         # A non-finite trial has E = inf: it is rejected and retried smaller,
         # and persistent failure ends in StepSizeUnderflow.
         e_m = error_norm(y_next, y_hat_next, tol)
         accepted = e_m <= 1.0
         if accepted:
+            t_last = t + h_use  # the time of the kernel's last stage
             y = y_next
-            t = t_stop if h_use >= t_stop - t else min(t + h_use, t_stop)
+            t = t_stop if h_use >= t_stop - t else min(t_last, t_stop)
+            reuse[0] = reuse[1] if t == t_last else None
             if record_states:
                 states.append(y.copy())
             h = propose_step_size(h_use, e_m, e_prev, cp)
@@ -488,14 +506,18 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
         states = np.empty((n_steps + 1, y.shape[0]))
         times[0], states[0] = t_start, y
     t = t_start
+    reuse = [None, None]
     for m in range(n_steps):
         t_next = t_start + (m + 1) * h
         if m == n_steps - 1 or t_next > t_stop:
             t_next = t_stop
-        y, _ = step(f, t, y, t_next - t)
+        h_m = t_next - t
+        y, _ = step(f, t, y, h_m, reuse)
         if not np.all(np.isfinite(y)):
             raise DivergenceError(
                 f"non-finite state produced at t = {t}", t, y)
+        # the last stage ran at t + h_m, which can round away from t_next
+        reuse[0] = reuse[1] if t + h_m == t_next else None
         t = t_next
         if not last:
             times[m + 1], states[m + 1] = t, y

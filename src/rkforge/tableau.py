@@ -26,6 +26,7 @@ __all__ = [
     "parse_rational",
     "parse_method_file",
     "validate_tableau",
+    "strict_warnings",
     "render_coefficient_literal",
 ]
 
@@ -216,7 +217,6 @@ def validate_tableau(t: ButcherTableau, strict: bool = False) -> ValidationRepor
     are deliberately out of scope here).
     """
     violations = []
-    warnings = []
 
     if not _IDENTIFIER_RE.match(t.name):
         violations.append(Violation(
@@ -247,13 +247,16 @@ def validate_tableau(t: ButcherTableau, strict: bool = False) -> ValidationRepor
             violations.append(Violation(
                 f"{label}-sum", f"sum of {label} differs from 1 by {residual}", residual))
 
-    if strict and t.p >= 2:
-        residual = sum((bj * cj for bj, cj in zip(t.b, t.c)), Fraction(0)) - Fraction(1, 2)
-        if residual != 0:
-            warnings.append(Violation(
-                "order-2", f"sum of b_j c_j differs from 1/2 by {residual}", residual))
+    return ValidationReport(tuple(violations), strict_warnings(t) if strict else ())
 
-    return ValidationReport(tuple(violations), tuple(warnings))
+
+def strict_warnings(t: ButcherTableau) -> tuple[Violation, ...]:
+    """The warnings of validate_tableau(t, strict=True): the second-order
+    condition sum(b_j c_j) = 1/2 for p >= 2."""
+    residual = sum((bj * cj for bj, cj in zip(t.b, t.c)), Fraction(0)) - Fraction(1, 2)
+    if t.p < 2 or residual == 0:
+        return ()
+    return (Violation("order-2", f"sum of b_j c_j differs from 1/2 by {residual}", residual),)
 
 
 def render_coefficient_literal(r: Fraction) -> str:

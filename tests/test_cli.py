@@ -153,8 +153,42 @@ class TestGenerate:
         code, out, err = run(capsys, "generate", "--methods", str(path), "--out", str(out_dir))
         assert code == 2 and out == ""
         [line] = err.splitlines()
-        assert line.startswith(f"forge: error[invalid-tableau] method name {name!r}")
+        assert line.startswith(f"forge: error[invalid-tableau] {name}: violation: "
+                               f"method name {name!r}")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("strict", [(), ("--strict",)])
+    def test_each_tableau_validated_once(self, capsys, tmp_path, monkeypatch, strict):
+        from rkforge import codegen, tableau
+        validated = []
+        validate = tableau.validate_tableau
+
+        def counted(t, strict=False):
+            validated.append(t.name)
+            return validate(t, strict)
+
+        for module in (cli, codegen, tableau):
+            monkeypatch.setattr(module, "validate_tableau", counted)
+        code, out, _ = run(capsys, "generate", "--out", str(tmp_path / "g"), *strict)
+        assert code == 0
+        names = [line.split(".py ")[0] for line in out.splitlines()]
+        assert sorted(n.lower() for n in validated) == sorted(names[1:])
+
+    def test_refusal_lines_as_validate_words_them(self, capsys, tmp_path):
+        [erk] = [m for m in json.loads(shipped_method_path().read_text())
+                 if m["name"] == "ERK43b"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([{**erk, "name": "Skewed", "b_hat": erk["b"][:-1] + ["1"]},
+                                    {**erk, "name": "Class"}]))
+        code, out, _ = run(capsys, "validate", "--methods", str(path))
+        assert code == 2
+        lines = out.splitlines()
+        assert [line.split(": ")[:2] for line in lines] == [["Skewed", "violation"],
+                                                            ["Class", "violation"]]
+        code, out, err = run(capsys, "generate", "--methods", str(path),
+                             "--out", str(tmp_path / "g"))
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["forge: error[invalid-tableau] " + "; ".join(lines)]
 
     def test_out_is_a_file_exit_1(self, capsys, tmp_path):
         out_file = tmp_path / "g"

@@ -102,7 +102,7 @@ class TestRenderSolverSource:
         broken = type(t)(name=t.name, description="", s=t.s, p=t.p, p_hat=t.p_hat,
                          a=t.a, b=t.b, b_hat=t.b_hat,
                          c=(t.c[0], t.c[1], t.c[2] + 1))
-        with pytest.raises(ValueError, match="invalid"):
+        with pytest.raises(ValueError, match="^sample3: violation: row-sum, stage 3"):
             render_method_module(broken)
 
     def test_module_names_match_a_rendered_module(self):
@@ -304,6 +304,14 @@ class TestDimensionSwitch:
         got = self.both_bodies(monkeypatch, mod, lambda: mod._step(in_place, 0.3, y, 0.05))
         for body_expected, body_got in zip(expected, got):
             assert all(np.array_equal(e, g) for e, g in zip(body_expected, body_got)), name
+        # a stage the driver carries to the next attempt is a copy, which the
+        # next rhs call cannot overwrite
+        runs = [self.both_bodies(monkeypatch, mod, lambda: adaptive_integrate(
+                    mod.KERNEL, rhs, Tolerances(1e-8, 1e-8), y, 0.3, 2.0))
+                for rhs in (fresh, in_place)]
+        for body_expected, body_got in zip(*runs):
+            assert np.array_equal(body_expected.times, body_got.times), name
+            assert np.array_equal(body_expected.states, body_got.states), name
 
     @pytest.mark.parametrize("name", sorted(METHODS))
     def test_ensemble_trajectory_bit_identical(self, name):
