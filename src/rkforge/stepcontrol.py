@@ -226,6 +226,11 @@ def array_step(coefficients, f, t_m: float, y_m: np.ndarray, h: float, reuse=Non
     """The array-driven kernel: erk_step_generic on float coefficients
     (a, b, b_hat, c) and an rhs that returns (N,) float arrays.
 
+    Each stage input is y_m + h * (a[i, :i] @ k[:i]), built as the product
+    scaled and shifted in place: the same IEEE operations as that formula,
+    so the same bits, with one array per stage and no temporaries.  That
+    array stays the stage's own, since f may keep a reference to its input.
+
     ``reuse`` works as in StepKernel.  The last stage counts as
     f(t_m + h, y_next) only when c_s is 1.0 and its input has y_next's bytes:
     equal rows of a and b are not enough, since a BLAS product over s - 1
@@ -235,10 +240,16 @@ def array_step(coefficients, f, t_m: float, y_m: np.ndarray, h: float, reuse=Non
     k = np.empty((a.shape[0], y_m.shape[0]))
     k[0] = f(t_m, y_m) if reuse is None or reuse[0] is None else reuse[0]
     for i in range(1, a.shape[0]):
-        y_i = y_m + h * (a[i, :i] @ k[:i])
+        y_i = a[i, :i] @ k[:i]
+        y_i *= h
+        y_i += y_m
         k[i] = f(t_m + c[i] * h, y_i)
-    y_next = y_m + h * (b @ k)
-    y_hat_next = y_m + h * (b_hat @ k)
+    y_next = b @ k
+    y_next *= h
+    y_next += y_m
+    y_hat_next = b_hat @ k
+    y_hat_next *= h
+    y_hat_next += y_m
     if reuse is not None:
         last = c[-1] == 1.0 and y_i.tobytes() == y_next.tobytes()
         reuse[:] = k[0], k[-1] if last else None
@@ -274,6 +285,12 @@ def error_norm(y: np.ndarray, y_hat: np.ndarray, tol: Tolerances) -> float:
     is several times faster than the array formula for small systems; it
     sums the squared ratios in numpy's pairwise order, so its result is
     bit-identical to the array formula used above WIDE_N.
+
+    Above WIDE_N the formula runs in place on two arrays of its own, in one
+    pass per operation: the scale in one, the difference, ratio and square
+    in the other.  A non-finite difference or an overflowing square makes
+    the pairwise sum non-finite, which maps to E = +inf, so no separate
+    finiteness pass is needed.
     """
     y = np.asarray(y, dtype=float)
     y_hat = np.asarray(y_hat, dtype=float)
@@ -297,16 +314,23 @@ def error_norm(y: np.ndarray, y_hat: np.ndarray, tol: Tolerances) -> float:
                 d /= sc
                 q.append(d * d)
         return math.sqrt(_pairwise_sum(q) / n)
-    diff = y - y_hat
-    if not np.all(np.isfinite(diff)):
-        return math.inf
-    sc = tol.a_tol + np.maximum(np.abs(y), np.abs(y_hat)) * tol.r_tol
-    zero_scale = sc == 0.0
-    if np.any(zero_scale):
-        if np.any(diff[zero_scale] != 0.0):
-            return math.inf
-        sc = np.where(zero_scale, 1.0, sc)
-    return math.sqrt(float(np.mean((diff / sc) ** 2)))
+    sc = np.abs(y)
+    q = np.abs(y_hat)
+    np.maximum(sc, q, out=sc)
+    sc *= tol.r_tol
+    sc += tol.a_tol
+    np.subtract(y, y_hat, out=q)
+    if tol.a_tol == 0.0:
+        zero_scale = sc == 0.0
+        if zero_scale.any():
+            if q[zero_scale].any():
+                return math.inf
+            sc[zero_scale] = 1.0
+    q /= sc
+    q *= q
+    # np.mean's own sum and division, without its overhead
+    s = float(np.add.reduce(q)) / n
+    return math.sqrt(s) if math.isfinite(s) else math.inf
 
 
 def _pairwise_sum(q: list) -> float:

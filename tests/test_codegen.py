@@ -314,6 +314,29 @@ class TestDimensionSwitch:
             assert np.array_equal(body_expected.states, body_got.states), name
 
     @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_rhs_keeping_its_inputs(self, name):
+        # an rhs may keep the arrays it is given: no later stage, and no next
+        # step, may write into one of them or into the stages reuse carries
+        mod = METHODS[name]
+        n = 3 * WIDE_N
+        seen = []
+
+        def keeping(t, yy):
+            seen.append((yy, yy.tobytes()))
+            return yy * np.cos(t + yy)
+
+        t, y, h = 0.3, np.linspace(0.5, 2.0, n), 0.05
+        reuse = [None, None]
+        y_next, _ = mod._step(keeping, t, y, h, reuse)
+        carried = [(s, s.tobytes()) for s in reuse if s is not None]
+        assert np.array_equal(reuse[0], keeping(t, y)), name
+        if reuse[1] is not None:
+            assert np.array_equal(reuse[1], keeping(t + h, y_next)), name
+        reuse[0] = reuse[1]
+        mod._step(keeping, t + h, y_next, h, reuse)
+        assert all(s.tobytes() == b for s, b in seen + carried), name
+
+    @pytest.mark.parametrize("name", sorted(METHODS))
     def test_ensemble_trajectory_bit_identical(self, name):
         copies = 20  # N = 40
 
