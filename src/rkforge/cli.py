@@ -150,21 +150,20 @@ def cmd_validate(args) -> int:
 def _trajectory_csv(traj) -> str:
     n = traj.states.shape[1]
     header = "t," + ",".join(f"y{i + 1}" for i in range(n))
-    rows = [header]
-    for t, row in zip(traj.times, traj.states):
-        rows.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
-    return "\n".join(rows)
+    # tolist() hands over Python floats with the arrays' bits, so repr prints
+    # what _fmt would, without a numpy scalar per value
+    table = np.column_stack((traj.times, traj.states)).tolist()
+    return "\n".join([header, *(",".join(map(repr, row)) for row in table)])
 
 
 def _steplog_csv(log) -> str:
     rows = ["kind,t,h,error"]
-    accepted = [("accepted", t, h, e) for t, h, e
-                in zip(log.accepted_t, log.accepted_h, log.errors)]
-    rejected = [("rejected", t, h, None) for t, h
-                in zip(log.rejected_t, log.rejected_h)]
-    for kind, t, h, e in sorted(accepted + rejected, key=lambda r: (r[1], r[0])):
-        err = _fmt(e) if e is not None else ""
-        rows.append(f"{kind},{_fmt(t)},{_fmt(h)},{err}")
+    accepted = [("accepted", t, h, repr(e)) for t, h, e
+                in zip(log.accepted_t.tolist(), log.accepted_h.tolist(), log.errors.tolist())]
+    rejected = [("rejected", t, h, "") for t, h
+                in zip(log.rejected_t.tolist(), log.rejected_h.tolist())]
+    for kind, t, h, err in sorted(accepted + rejected, key=lambda r: (r[1], r[0])):
+        rows.append(f"{kind},{t!r},{h!r},{err}")
     return "\n".join(rows)
 
 

@@ -172,7 +172,13 @@ class IntegrationOptions:
 
 
 class IntegrationError(RuntimeError):
-    """Driver failure; carries the last good time/state and the partial log."""
+    """Driver failure; carries the last good time/state and the partial log.
+
+    t and y are the time and state the driver last reached: the last
+    accepted point of an adaptive run, and for DivergenceError the point
+    before the step that produced a non-finite state, so y is finite.  log
+    is the partial StepLog of an adaptive run, None for a fixed-step one.
+    """
 
     def __init__(self, message: str, t: float, y: np.ndarray, log: StepLog | None = None):
         super().__init__(message)
@@ -513,6 +519,12 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
     No error control; the embedded solution is computed but unused.  Of
     ``options`` only max_steps applies: a run of more steps, or a set h0,
     raises ArgumentError before the first rhs call.
+
+    A step that produces a non-finite state raises DivergenceError with the
+    time and state before it, the last finite ones.  Up to WIDE_N components
+    the check runs on plain floats, since numpy's reduction costs several
+    microseconds per call at that size; above it numpy's isfinite pass is the
+    cheaper one.
     """
     f, y = _entry_check(prob, y_0, t_start, t_stop, h)
     if options is not None and options.h0 is not None:
@@ -531,15 +543,18 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
         times[0], states[0] = t_start, y
     t = t_start
     reuse = [None, None]
+    wide = y.shape[0] > WIDE_N
     for m in range(n_steps):
         t_next = t_start + (m + 1) * h
         if m == n_steps - 1 or t_next > t_stop:
             t_next = t_stop
         h_m = t_next - t
-        y, _ = step(f, t, y, h_m, reuse)
-        if not np.all(np.isfinite(y)):
+        y_next, _ = step(f, t, y, h_m, reuse)
+        y_next = np.asarray(y_next)  # any array-like, as the adaptive driver takes
+        if not (np.isfinite(y_next).all() if wide else all(map(math.isfinite, y_next.tolist()))):
             raise DivergenceError(
                 f"non-finite state produced at t = {t}", t, y)
+        y = y_next
         # the last stage ran at t + h_m, which can round away from t_next
         reuse[0] = reuse[1] if t + h_m == t_next else None
         t = t_next

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 from rkforge import cli, shipped_method_path
 from rkforge.cli import main
 from rkforge.problems import ArenstorfParams, benchmark_case
+from rkforge.stepcontrol import StepLog, Trajectory
 
 
 def run(capsys, *argv):
@@ -367,6 +369,78 @@ class TestSolve:
                            "--h", "0.1", "--output", str(path))
         assert code == 0 and out == ""
         assert path.read_text().startswith("t,y1,y2")
+
+
+class TestCsvWriters:
+    """The CSV writers format rows from tolist(); the per-value formula they
+    replaced, repr(float(x)) on each numpy scalar, is the reference."""
+
+    SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                1e308, -1e308, math.inf, -math.inf, math.nan, 0.1, 1.0]
+
+    @staticmethod
+    def reference_trajectory(traj):
+        n = traj.states.shape[1]
+        rows = ["t," + ",".join(f"y{i + 1}" for i in range(n))]
+        for t, row in zip(traj.times, traj.states):
+            rows.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
+        return "\n".join(rows)
+
+    @staticmethod
+    def reference_steplog(log):
+        rows = ["kind,t,h,error"]
+        accepted = [("accepted", t, h, e) for t, h, e
+                    in zip(log.accepted_t, log.accepted_h, log.errors)]
+        rejected = [("rejected", t, h, None) for t, h
+                    in zip(log.rejected_t, log.rejected_h)]
+        for kind, t, h, e in sorted(accepted + rejected, key=lambda r: (r[1], r[0])):
+            err = repr(float(e)) if e is not None else ""
+            rows.append(f"{kind},{float(t)!r},{float(h)!r},{err}")
+        return "\n".join(rows)
+
+    def values(self, rng, shape):
+        """Normal draws over 600 decades with specials at seeded places."""
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+        flat = x.reshape(-1)
+        places = rng.integers(0, flat.size, max(1, flat.size // 4))
+        flat[places] = rng.choice(self.SPECIALS, places.size)
+        return x
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_trajectory_csv_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, n = int(rng.integers(1, 80)), int(rng.integers(1, 20))
+        traj = Trajectory(self.values(rng, rows), self.values(rng, (rows, n)))
+        assert cli._trajectory_csv(traj) == self.reference_trajectory(traj)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_steplog_csv_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n_acc, n_rej = int(rng.integers(0, 60)), int(rng.integers(1, 30))
+        accepted_t = np.sort(rng.uniform(0.0, 10.0, n_acc))
+        # rejected attempts at accepted times tie on t and sort by kind
+        rejected_t = (rng.choice(accepted_t, n_rej) if n_acc and seed % 2
+                      else rng.uniform(0.0, 10.0, n_rej))
+        log = StepLog(accepted_t, np.abs(self.values(rng, n_acc)), rejected_t,
+                      np.abs(self.values(rng, n_rej)), self.values(rng, n_acc))
+        got = cli._steplog_csv(log)
+        assert got == self.reference_steplog(log)
+        assert got.count("\nrejected,") == n_rej
+
+    def test_solve_outputs_match_reference(self, capsys):
+        case = benchmark_case("brusselator")
+        traj = cli.fixed_integrate(cli._solver("ERK43b").KERNEL, case.problem, 0.05,
+                                   case.y_0, 0.0, 20.0)
+        code, out, _ = run(capsys, "solve", "--method", "ERK43b", "--problem",
+                           "brusselator", "--h", "0.05", "--t0", "0", "--t1", "20")
+        assert code == 0 and out == self.reference_trajectory(traj) + "\n"
+        log = cli.integrate_info(cli._solver("ERK43b").KERNEL, case.problem,
+                                 cli.Tolerances(1e-4, 1e-4), case.y_0, 0.0, 20.0)
+        assert log.rejected_t.size > 0
+        code, out, _ = run(capsys, "solve", "--method", "ERK43b", "--problem",
+                           "brusselator", "--atol", "1e-4", "--rtol", "1e-4",
+                           "--t0", "0", "--t1", "20", "--output-kind", "steplog")
+        assert code == 0 and out == self.reference_steplog(log) + "\n"
 
 
 class TestReport:

@@ -5,9 +5,12 @@ with erk_step_generic, and both read their coefficients through
 render_coefficient_literal, so a rendering fault would pass them all.  The
 oracles here start from the exact tableau or from scipy instead.
 """
+import ast
 import math
+import re
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,3 +94,39 @@ def test_end_state_matches_scipy(name, scipy_method, problem):
     assert ref.success and t_end == ref.t[-1] == case.t_stop
     bound = END_STATE_GROWTH[problem] * (TOL + TOL * np.abs(ref.y[:, -1]))
     assert np.all(np.abs(y_end - ref.y[:, -1]) <= bound), (y_end, ref.y[:, -1])
+
+
+GENERATED_CONSTANT = re.compile(r"(A_\d+_\d+|B_\d+|BH_\d+|C_\d+)\Z")
+
+
+def module_constants(path):
+    """The A_i_j, B_j, BH_j and C_i assignments of a generated module, read
+    from its syntax tree as a list of (name, value)."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    return [(node.targets[0].id, ast.literal_eval(node.value)) for node in tree.body
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and GENERATED_CONSTANT.match(node.targets[0].id)]
+
+
+def nonzero_coefficients(tableau):
+    """Constant name -> exact coefficient, for every nonzero one."""
+    named = [(f"A_{i}_{j}", x) for i, row in enumerate(tableau.a, 1)
+             for j, x in enumerate(row, 1)]
+    for prefix, weights in (("B", tableau.b), ("BH", tableau.b_hat), ("C", tableau.c)):
+        named += [(f"{prefix}_{j}", x) for j, x in enumerate(weights, 1)]
+    return {name: x for name, x in named if x != 0}
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_generated_constants_are_the_nearest_doubles(name):
+    # float(Fraction) rounds correctly, so this needs neither the renderer
+    # nor its float coefficients
+    constants = module_constants(METHODS[name].__file__)
+    got = dict(constants)
+    assert len(got) == len(constants), "a constant is assigned twice"
+    expected = nonzero_coefficients(TABLEAUS[name])
+    assert sorted(got) == sorted(expected), "constants and nonzero coefficients differ"
+    for constant, exact in expected.items():
+        assert type(got[constant]) is float, constant
+        assert got[constant].hex() == float(exact).hex(), (constant, exact)

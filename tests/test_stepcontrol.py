@@ -13,6 +13,7 @@ from rkforge.stepcontrol import (
     IntegrationOptions,
     MaxStepsExceeded,
     ODEProblem,
+    StepKernel,
     StepSizeUnderflow,
     WIDE_N,
     Tolerances,
@@ -357,6 +358,40 @@ class TestFixedIntegrate:
         with pytest.raises(DivergenceError):
             fixed_integrate(kernel("DOPRI5"), rhs, 0.5, np.array([4.0]), 0.0, 50.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n", [1, WIDE_N, WIDE_N + 1, 40])
+    def test_divergence_error_carries_the_last_finite_state(self, n):
+        # y' = y^2 blows up at t = 1 / max(y_0); the message names the time
+        # before the failing step, and so do t and y
+        from rkforge.generated import dopri5
+        y_0 = np.linspace(1.0, 2.0, n) if n > 1 else np.array([1.0])
+        h = 0.5 if n == 1 else 0.05
+        with pytest.raises(DivergenceError) as info:
+            fixed_integrate(dopri5.KERNEL, lambda t, y: y * y, h, y_0, 0.0, 10.0)
+        exc = info.value
+        assert str(exc) == f"non-finite state produced at t = {exc.t}"
+        assert exc.t > 0.0 and np.all(np.isfinite(exc.y))
+        t, y = fixed_integrate(dopri5.KERNEL, lambda t, y: y * y, h, y_0, 0.0, exc.t,
+                               last=True)
+        assert t == exc.t and y.tobytes() == exc.y.tobytes()
+
+    @pytest.mark.parametrize("n", [1, WIDE_N, WIDE_N + 1, 1000])
+    def test_divergence_check_sees_every_component(self, n):
+        # a kernel that steps y + h and puts one non-finite value at one
+        # position of one step; the grid is 0, .3, .6, .9 and a truncated 1.0
+        clean = fixed_integrate(injecting_kernel(), lambda t, y: y, 0.3, np.zeros(n),
+                                0.0, 1.0)
+        assert clean.times.size == 5
+        for bad in (math.nan, math.inf, -math.inf):
+            for step in (0, 2, 3):  # the first, a middle and the truncated last
+                for position in range(n):
+                    with pytest.raises(DivergenceError) as info:
+                        fixed_integrate(injecting_kernel(step, position, bad), lambda t, y: y,
+                                        0.3, np.zeros(n), 0.0, 1.0)
+                    exc = info.value
+                    assert exc.t == clean.times[step]
+                    assert exc.y.tobytes() == clean.states[step].tobytes()
+
     @pytest.mark.parametrize("h", [1e-300, 5e-324])
     @pytest.mark.parametrize("last", [False, True])
     def test_step_cap_refuses_before_first_rhs_call(self, h, last):
@@ -406,6 +441,43 @@ class TestFixedIntegrate:
                 fixed_integrate(kernel("ERK43b"), lambda t, y: y, 0.3, np.array([1.0]),
                                 0, t_stop, last=True)):
             assert type(t) is float and t == 1.0
+
+
+def injecting_kernel(step=None, position=0, value=math.nan) -> StepKernel:
+    """A kernel that steps y + h and writes ``value`` at ``position`` of the
+    state that step number ``step`` (counted from 0) returns."""
+    calls = []
+
+    def step_fn(f, t, y, h, reuse=None):
+        y_next = y + h
+        if len(calls) == step:
+            y_next[position] = value
+        calls.append(t)
+        return y_next, y_next
+
+    return StepKernel(name="inject", order=1, stages=1, step=step_fn)
+
+
+def test_both_drivers_accept_a_kernel_that_returns_lists():
+    # the drivers coerce what a kernel returns; a kernel that hands back
+    # lists gives the same run as the array kernel it wraps
+    dopri5 = kernel("DOPRI5")
+
+    def step_fn(f, t, y, h, reuse=None):
+        y_next, y_hat_next = dopri5.step(f, t, np.asarray(y), h, reuse)
+        return y_next.tolist(), y_hat_next.tolist()
+
+    lists = StepKernel(name="lists", order=5, stages=7, step=step_fn)
+    rhs = lambda t, y: np.array([y[1], -y[0]])
+    y_0 = np.array([1.0, 0.0])
+    tol = Tolerances(r_tol=1e-6, a_tol=1e-9)
+    for run in (lambda k, **kw: fixed_integrate(k, rhs, 0.1, y_0, 0.0, 1.0, **kw),
+                lambda k, **kw: adaptive_integrate(k, rhs, tol, y_0, 0.0, 1.0, **kw)):
+        want, got = run(dopri5), run(lists)
+        assert want.times.tobytes() == got.times.tobytes()
+        assert want.states.tobytes() == got.states.tobytes()
+        (t_want, y_want), (t_got, y_got) = run(dopri5, last=True), run(lists, last=True)
+        assert t_want == t_got and np.asarray(y_got).tobytes() == y_want.tobytes()
 
 
 def test_problem_dimension_must_match_initial_state():
