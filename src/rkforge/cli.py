@@ -66,14 +66,13 @@ def _fmt(x) -> str:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     try:
-        Path(path).write_text(text if text.endswith("\n") else text + "\n",
-                              encoding="utf-8")
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise _runtime_error("io-failure", f"cannot write {path}: {exc}") from exc
 

@@ -3,15 +3,11 @@
 Each method yields one Python module whose step kernel is fully unrolled:
 every nonzero coefficient becomes a named scalar constant (A_i_j, B_j, BH_j,
 C_i) rendered at 17 significant digits, and terms with zero coefficients are
-simply absent.  Systems of more than stepcontrol.WIDE_N components go to the
-shared array-driven kernel, stepcontrol.array_step, with the same constants
-laid out as arrays.  One template, templates/solver.py.tmpl, is declarative
-text with {{name}} placeholders, read and checked once; all expansion logic
-(per-stage loops, zero elision) lives in this renderer, which fills every
-placeholder in a single pass.
-
-The adaptive drivers delegate error-norm and step-update arithmetic to
-rkforge.stepcontrol, which keeps the control formulas in one place.
+simply absent; wide systems get the same constants as stepcontrol.array_step's
+arrays.  One template, templates/solver.py.tmpl, is declarative text with
+{{name}} placeholders, read and checked once; all expansion logic (per-stage
+loops, zero elision) lives in this renderer, which fills every placeholder
+in a single pass.
 """
 from __future__ import annotations
 
@@ -118,13 +114,8 @@ def _increment(names) -> str | None:
 
 
 def _stage_lines(a, c) -> str:
-    """Fully unrolled stage evaluations, one line per stage after the first.
-
-    Stage values are kept as plain float lists and combined componentwise in
-    Python, which beats array arithmetic on small systems, where numpy's
-    per-operation dispatch dominates.  Above stepcontrol.WIDE_N components
-    the generated _step calls stepcontrol.array_step instead.
-    """
+    """Unrolled stage evaluations on float lists, one line per stage after
+    the first (the float side of stepcontrol.WIDE_N)."""
     lines = []
     for i in range(1, len(a)):
         time = f"t + {c[i]} * h" if c[i] else "t"
@@ -133,7 +124,7 @@ def _stage_lines(a, c) -> str:
 
 
 def _last_stage(a, b, c) -> str:
-    """The expression _step hands back as the next step's k1, or "None".
+    """_step's reuse[1] (see StepKernel): the last stage, or "None".
 
     The last stage is f(t + h, y_next) when its row of a has b's nonzero
     pattern (so b_s = 0) and, checked at call time, those constants equal
@@ -151,13 +142,10 @@ def _docstring_safe(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"""', '\\"\\"\\"')
 
 
-def _render(text: str, values: dict) -> str:
-    return _PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], text)
-
-
-def _placeholder_values(t: ButcherTableau) -> dict:
+def _module_source(t: ButcherTableau) -> str:
+    """The template with every placeholder filled for t."""
     a, b, b_hat, c = names = _names(t)
-    return {
+    values = {
         "method_name": t.name,
         "order": str(t.p),
         "embedded_order": str(t.p_hat),
@@ -170,15 +158,12 @@ def _placeholder_values(t: ButcherTableau) -> dict:
         "y_hat_update": _increment(b_hat),
         "last_stage": _last_stage(a, b, c),
     }
+    return _PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], _template())
 
 
 def _name_problem(t: ButcherTableau) -> str | None:
-    """Why the generated module cannot use ``t.name``, or None if it can.
-
-    A name is unusable when it or its lowercase module name is a keyword, or
-    when one of its drivers (NAME, NAME_last, ...) equals a name the module
-    binds or reads: _MODULE_NAMES or a coefficient constant.
-    """
+    """Why the generated module cannot use ``t.name`` (a keyword, or a driver
+    named like a constant or one of _MODULE_NAMES), or None if it can."""
     if keyword.iskeyword(t.name) or keyword.iskeyword(t.name.lower()):
         return (f"method name {t.name!r} or its module name "
                 f"{t.name.lower()!r} is a Python keyword")
@@ -212,7 +197,7 @@ def _require_valid(methods) -> None:
 def render_method_module(t: ButcherTableau) -> str:
     """Full per-method module: constants, step kernel and all five drivers."""
     _require_valid([t])
-    return _render(_template(), _placeholder_values(t))
+    return _module_source(t)
 
 
 def _index_source(methods) -> str:
@@ -245,11 +230,9 @@ def generate_module_set(methods, out_dir: str | Path):
     """Write one solver module per method plus the registry index.
 
     Returns the manifest: a list of (relative path, sha256 hex) pairs sorted
-    by path.  Files are replaced atomically; duplicate method names, invalid
-    tableaus and names the module cannot use (a keyword, or a driver that
-    shadows a module name) abort before anything is written, with a
-    ValueError that lists every violation_lines line.  Each tableau is
-    validated once.
+    by path.  Files are replaced atomically.  Duplicate method names and
+    violations abort before anything is written, with a ValueError that
+    lists every violation_lines line; each tableau is validated once.
     """
     methods = list(methods)
     seen = {}
@@ -260,8 +243,7 @@ def generate_module_set(methods, out_dir: str | Path):
                 f"duplicate method name {t.name!r} (collides with {seen[key]!r})")
         seen[key] = t.name
     _require_valid(methods)
-    rendered = [(f"{t.name.lower()}.py", _render(_template(), _placeholder_values(t)))
-                for t in methods]
+    rendered = [(f"{t.name.lower()}.py", _module_source(t)) for t in methods]
     rendered.append(("__init__.py", _index_source(methods)))
 
     out_dir = Path(out_dir)

@@ -87,10 +87,7 @@ def _step(f, t, y, h, reuse=None):
     """One embedded step from (t, y); returns the main and companion updates.
 
     y is a float array and f must return one (the drivers guarantee both).
-    Up to WIDE_N components the unrolled stage arithmetic runs on plain
-    floats, which is faster than array operations for small systems; above
-    it the shared array-driven kernel takes over.  ``reuse`` carries stage
-    values between the drivers' attempts, as StepKernel describes.
+    The split at WIDE_N and ``reuse`` are described in rkforge.stepcontrol.
     """
     if y.shape[0] > WIDE_N:
         return array_step(_ARRAYS, f, t, y, h, reuse)[:2]

@@ -40,16 +40,16 @@ __all__ = [
 ARENSTORF_PERIOD = 17.065216560157962558
 
 # The three initial-value groups describe three different periodic orbits,
-# each with its own period.  Group 1 is the headline orbit and group 2 its
-# companion from Hairer, Norsett, Wanner I, both for mu1 = 0.012277471.
-# Group 3 is the Earth-Moon orbit of the standard restricted-three-body test
-# data (MATLAB's orbitode), which is periodic only for mu1 = 1/82.45; with
-# that mass ratio its 9-digit momentum closes to about 2e-10 under DOPRI5 at
-# a_tol = 1e-12.
-_GROUP_PERIODS = {
-    1: ARENSTORF_PERIOD,
-    2: 11.124340337266085135,
-    3: 6.19216933131963970674,
+# each with its own period: group -> (state (p_x, p_y, q_x, q_y), mu1, period).
+# Group 1 is the headline orbit and group 2 its companion from Hairer,
+# Norsett, Wanner I, both for mu1 = 0.012277471.  Group 3 is the Earth-Moon
+# orbit of the standard restricted-three-body test data (MATLAB's orbitode),
+# which is periodic only for mu1 = 1/82.45; with that mass ratio its 9-digit
+# momentum closes to about 2e-10 under DOPRI5 at a_tol = 1e-12.
+_ARENSTORF_GROUPS = {
+    1: ((0.0, -1.00758510637908238, 0.994, 0.0), 0.012277471, ARENSTORF_PERIOD),
+    2: ((0.0, -1.03773262955733680, 0.994, 0.0), 0.012277471, 11.124340337266085135),
+    3: ((0.0, 0.15064248999999985, 1.2, 0.0), 1 / 82.45, 6.19216933131963970674),
 }
 
 
@@ -133,16 +133,10 @@ def arenstorf_rhs(t, y, params: ArenstorfParams = ArenstorfParams()):
 def arenstorf_initials(group: int):
     """Initial state (p_x, p_y, q_x, q_y), parameters, and orbit period for
     one of the three stable-orbit initial-value groups."""
-    if group == 1:
-        state = np.array([0.0, -1.00758510637908238, 0.994, 0.0])
-    elif group == 2:
-        state = np.array([0.0, -1.03773262955733680, 0.994, 0.0])
-    elif group == 3:
-        state = np.array([0.0, 0.15064248999999985, 1.2, 0.0])
-    else:
+    if group not in _ARENSTORF_GROUPS:
         raise ValueError(f"initial-value group must be 1, 2 or 3, got {group}")
-    params = ArenstorfParams(mu1=1 / 82.45) if group == 3 else ArenstorfParams()
-    return state, params, _GROUP_PERIODS[group]
+    state, mu1, period = _ARENSTORF_GROUPS[group]
+    return np.array(state), ArenstorfParams(mu1), period
 
 
 def arenstorf_hamiltonian(state, params: ArenstorfParams = ArenstorfParams()) -> float:
@@ -174,30 +168,25 @@ class BenchmarkCase:
     t_stop: float
 
 
+# CLI name -> (problem, y_0, t_stop); every case starts at t = 0.
+_CASES = {
+    "vdp": (ODEProblem(2, vdp_rhs, "vdp"), (0.0, math.sqrt(3.0)), 12.0),
+    "rigid-body": (ODEProblem(3, rigid_body_rhs, "rigid-body"), (0.0, 1.0, 1.0), 12.0),
+    "brusselator": (ODEProblem(2, brusselator_rhs, "brusselator"), (1.5, 3.0), 20.0),
+    **{f"arenstorf:{group}": (ODEProblem(4, _arenstorf_field(ArenstorfParams(mu1)),
+                                         f"arenstorf:{group}"), state, period)
+       for group, (state, mu1, period) in _ARENSTORF_GROUPS.items()},
+}
+
+PROBLEM_NAMES = tuple(_CASES)
+
+
 def benchmark_case(name: str) -> BenchmarkCase:
-    """Benchmark problem by CLI name: vdp, rigid-body, brusselator,
-    arenstorf:1|2|3 (bare "arenstorf" means group 1)."""
-    base, _, tail = name.partition(":")
-    if base == "vdp":
-        return BenchmarkCase(
-            problem=ODEProblem(2, vdp_rhs, "vdp"),
-            y_0=np.array([0.0, math.sqrt(3.0)]), t_start=0.0, t_stop=12.0)
-    if base == "rigid-body":
-        return BenchmarkCase(
-            problem=ODEProblem(3, rigid_body_rhs, "rigid-body"),
-            y_0=np.array([0.0, 1.0, 1.0]), t_start=0.0, t_stop=12.0)
-    if base == "brusselator":
-        return BenchmarkCase(
-            problem=ODEProblem(2, brusselator_rhs, "brusselator"),
-            y_0=np.array([1.5, 3.0]), t_start=0.0, t_stop=20.0)
-    if base == "arenstorf":
-        group = int(tail) if tail else 1
-        state, params, period = arenstorf_initials(group)
-        return BenchmarkCase(
-            problem=ODEProblem(4, _arenstorf_field(params), f"arenstorf:{group}"),
-            y_0=state, t_start=0.0, t_stop=period)
-    raise ValueError(f"unknown problem {name!r}")
-
-
-PROBLEM_NAMES = ("vdp", "rigid-body", "brusselator",
-                 "arenstorf:1", "arenstorf:2", "arenstorf:3")
+    """Benchmark problem by CLI name: one of PROBLEM_NAMES, or bare
+    "arenstorf" for arenstorf:1.  The case's y_0 is a fresh array."""
+    if name == "arenstorf":
+        name = "arenstorf:1"
+    if name not in _CASES:
+        raise ValueError(f"unknown problem {name!r}")
+    problem, y_0, t_stop = _CASES[name]
+    return BenchmarkCase(problem=problem, y_0=np.array(y_0), t_start=0.0, t_stop=t_stop)

@@ -8,22 +8,30 @@ acceptance iff E <= 1, and the two-error update
 
 with f_s = 0.9, f_min = 0.1, f_max = 5, b = 0.4/p and a = 0.7/p - 0.75*b for
 a method of order p: the drivers always use ControllerParams.for_order(p).
+E_prev is the last accepted E, floored at 1e-4, and 1 before the first.
 Note the clamp acts on the divisor, so growth is capped at 1/f_min while
-shrinkage is capped at f_max.  Rejected steps retry with
-h / min(f_max, E_m^a / f_s).
+shrinkage is capped at f_max; E_m = 0 takes the divisor f_min.  Rejected
+steps retry with h / min(f_max, E_m^a / f_s).  Each attempt uses
+h = min(h, t_stop - t); an accepted one ends at min(t + h, t_stop), and at
+t_stop whenever h = t_stop - t, whatever t + h rounds to.  An attempt below
+h_min = 1e4 * eps * max(|t_start|, |t_stop|, 1) that would end before
+t_stop raises StepSizeUnderflow instead (ArgumentError if it is the first).
 
-Up to WIDE_N components error_norm computes E on plain floats, summed in
-numpy's pairwise order, so it gives the same bits as the array formula it
-uses for wider systems.
+Three places split at WIDE_N components, because numpy's per-operation
+dispatch outweighs the arithmetic on small systems: up to WIDE_N they work
+on plain Python floats, above it on arrays.  They are a generated _step,
+which hands wider systems to array_step; error_norm, which sums in numpy's
+pairwise order so that E has the bits of the array formula on both sides;
+and fixed_integrate's finiteness check.
 
-Generated solver modules call the same three functions (error_norm,
-propose_step_size, rescale_rejected) and the same driver loop, so the control
+Generated solver modules run the same driver loop, so the control
 arithmetic has a single home.
 """
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -55,6 +63,8 @@ __all__ = [
     "fixed_integrate",
     "integrate_info",
 ]
+
+WIDE_N = 16  # the float/array split; see the module docstring
 
 
 class ArgumentError(ValueError):
@@ -103,8 +113,7 @@ class ControllerParams:
 
     @classmethod
     def for_order(cls, p: int) -> "ControllerParams":
-        """The default factors with the recommended universal exponents for a
-        method of main order p; the drivers use exactly these."""
+        """The default factors with the recommended exponents for order p."""
         if p < 1:
             raise ValueError("order must be positive")
         beta = 0.4 / p
@@ -150,7 +159,8 @@ class StepKernel:
     used and reuse[1] the last stage when that is f(t + h, y_next) bit for
     bit (first same as last), None otherwise.  So the drivers evaluate f once
     per distinct (t, y): a retry after a rejection starts from the k1 it
-    already has, and an FSAL method's next step from the last stage.
+    already has, and an FSAL method's next step from the last stage.  The
+    results keep their bits; only an rhs with side effects sees fewer calls.
     """
 
     name: str
@@ -167,6 +177,8 @@ class IntegrationOptions:
     def __post_init__(self):
         if self.h0 is not None and not self.h0 > 0:
             raise ArgumentError(f"h0 must be positive, got {self.h0!r}")
+        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral):
+            raise ArgumentError(f"max_steps must be an integer, got {self.max_steps!r}")
         if not self.max_steps >= 1:
             raise ArgumentError(f"max_steps must be at least 1, got {self.max_steps!r}")
 
@@ -199,21 +211,14 @@ class DivergenceError(IntegrationError):
     pass
 
 
-# Generated step kernels run their unrolled stage arithmetic on plain Python
-# floats up to this many components and hand larger systems to array_step,
-# which is faster there (see CHANGES.md for the sweeps).
-WIDE_N = 16
-
-
 @functools.cache
 def _float_coefficients(t: ButcherTableau):
     """Tableau coefficients as float64 arrays, via the rendered literals so the
     interpreter and the generated code agree bit for bit."""
-    a = np.array([[float(render_coefficient_literal(x)) for x in row] for row in t.a])
-    b = np.array([float(render_coefficient_literal(x)) for x in t.b])
-    b_hat = np.array([float(render_coefficient_literal(x)) for x in t.b_hat])
-    c = np.array([float(render_coefficient_literal(x)) for x in t.c])
-    return a, b, b_hat, c
+    def floats(values):
+        return np.array([float(render_coefficient_literal(x)) for x in values])
+
+    return np.array([floats(row) for row in t.a]), floats(t.b), floats(t.b_hat), floats(t.c)
 
 
 def erk_step_generic(t: ButcherTableau, prob: ODEProblem, t_m: float,
@@ -237,10 +242,9 @@ def array_step(coefficients, f, t_m: float, y_m: np.ndarray, h: float, reuse=Non
     so the same bits, with one array per stage and no temporaries.  That
     array stays the stage's own, since f may keep a reference to its input.
 
-    ``reuse`` works as in StepKernel.  The last stage counts as
-    f(t_m + h, y_next) only when c_s is 1.0 and its input has y_next's bytes:
-    equal rows of a and b are not enough, since a BLAS product over s - 1
-    stages may round differently from one over s.
+    ``reuse`` is StepKernel's.  The last stage is compared with y_next by
+    bytes: equal rows of a and b are not enough, since a BLAS product over
+    s - 1 stages may round differently from one over s.
     """
     a, b, b_hat, c = coefficients
     k = np.empty((a.shape[0], y_m.shape[0]))
@@ -285,18 +289,11 @@ def error_norm(y: np.ndarray, y_hat: np.ndarray, tol: Tolerances) -> float:
     A non-finite difference forces E = +inf.  A zero scale (possible only
     with a_tol = 0) contributes 0 when the difference is zero too, and forces
     E = +inf otherwise, so the step gets rejected rather than silently
-    accepted.
+    accepted.  Both sides of WIDE_N give the same bits (module docstring).
 
-    Up to WIDE_N components the norm runs on plain floats in one loop, which
-    is several times faster than the array formula for small systems; it
-    sums the squared ratios in numpy's pairwise order, so its result is
-    bit-identical to the array formula used above WIDE_N.
-
-    Above WIDE_N the formula runs in place on two arrays of its own, in one
-    pass per operation: the scale in one, the difference, ratio and square
-    in the other.  A non-finite difference or an overflowing square makes
-    the pairwise sum non-finite, which maps to E = +inf, so no separate
-    finiteness pass is needed.
+    Above WIDE_N it works in place on two arrays of its own.  A non-finite
+    difference or an overflowing square makes the pairwise sum non-finite,
+    which maps to E = +inf, so no separate finiteness pass is needed.
     """
     y = np.asarray(y, dtype=float)
     y_hat = np.asarray(y_hat, dtype=float)
@@ -340,26 +337,21 @@ def error_norm(y: np.ndarray, y_hat: np.ndarray, tol: Tolerances) -> float:
 
 
 def _pairwise_sum(q: list) -> float:
-    """Sum of at most 128 floats in the order of numpy's pairwise summation.
-
-    Below 8 terms one running sum; from 8 on, eight lanes that take every
-    full block of 8 terms, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the remainder one by one.  Written with += and not sum(), which
-    compensates from Python 3.12 on.
+    """Sum of at most 128 floats in the order of numpy's pairwise summation:
+    eight lanes over the full blocks of 8 terms, then the rest one by one.
+    Written with += and not sum(), which compensates from Python 3.12 on.
     """
     n = len(q)
-    if n < 8:
-        s = 0.0
-        for x in q:
-            s += x
-        return s
     full = n - n % 8
-    r = q[:8]
-    for i in range(8, full, 8):
-        for j in range(8):
-            r[j] += q[i + j]
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in q[full:]:
+    s = 0.0
+    if full:
+        r = q[:8]
+        for i in range(8, full, 8):
+            for j in range(8):
+                r[j] += q[i + j]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        q = q[full:]
+    for x in q:
         s += x
     return s
 
@@ -388,14 +380,11 @@ def rescale_rejected(h_m: float, e_m: float, cp: ControllerParams) -> float:
 
 
 def _entry_check(prob, y_0, t_start: float, t_stop: float, h: float):
-    """The argument check every driver and erk_step_generic run first.
-
-    Raises ArgumentError, before any rhs call, unless ``prob`` (an ODEProblem or
-    a bare rhs callable) has len(y_0) components, t_start < t_stop with both
-    ends finite, y_0 is finite and h > 0.  Returns (f, y): prob's rhs wrapped
-    to return float arrays checked to have shape (N,), and y_0 as a float
-    array of its own.  A wrong shape can show mid-run, so f raises a plain
-    ValueError for it.
+    """The argument check every driver and erk_step_generic run first, which
+    raises ArgumentError before any rhs call; ``prob`` is an ODEProblem or a
+    bare rhs callable.  Returns (f, y): prob's rhs wrapped to return float
+    arrays checked to have shape (N,), and y_0 as a float array of its own.
+    A wrong shape can show mid-run, so f raises a plain ValueError for it.
     """
     y = np.array(y_0, dtype=float)
     prob = prob if isinstance(prob, ODEProblem) else ODEProblem(len(y), prob)
@@ -466,8 +455,7 @@ def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances,
                 f"step size underflow: h = {h_use} < h_min = {h_min} at t = {t} "
                 f"after {len(attempts)} step attempts", t, y, _step_log(attempts))
         y_next, y_hat_next = step(f, t, y, h_use, reuse)
-        # A non-finite trial has E = inf: it is rejected and retried smaller,
-        # and persistent failure ends in StepSizeUnderflow.
+        # A non-finite trial has E = inf (error_norm), so it is retried smaller.
         e_m = error_norm(y_next, y_hat_next, tol)
         accepted = e_m <= 1.0
         if accepted:
@@ -491,8 +479,7 @@ def adaptive_integrate(method: StepKernel, prob, tol: Tolerances, y_0,
                        options: IntegrationOptions | None = None):
     """Adaptive integration; returns a Trajectory, or (t_n, y_n) when ``last``.
 
-    ``method`` is any step kernel (generic interpreter or generated
-    specialized code); ``prob`` is an ODEProblem or a bare rhs callable.
+    ``method`` is any StepKernel; ``prob`` an ODEProblem or a bare rhs callable.
     """
     t, y, states, attempts = _adaptive_loop(method, prob, tol, y_0, t_start, t_stop,
                                             options, record_states=not last)
@@ -520,11 +507,7 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
     ``options`` only max_steps applies: a run of more steps, or a set h0,
     raises ArgumentError before the first rhs call.
 
-    A step that produces a non-finite state raises DivergenceError with the
-    time and state before it, the last finite ones.  Up to WIDE_N components
-    the check runs on plain floats, since numpy's reduction costs several
-    microseconds per call at that size; above it numpy's isfinite pass is the
-    cheaper one.
+    A non-finite state raises DivergenceError (see IntegrationError).
     """
     f, y = _entry_check(prob, y_0, t_start, t_stop, h)
     if options is not None and options.h0 is not None:

@@ -269,6 +269,15 @@ class TestSolve:
         assert code == 2
         assert "forge: error[unknown-problem]" in err
 
+    @pytest.mark.parametrize("name", ["vdp:banana", "rigid-body:x", "brusselator:",
+                                      "arenstorf:", "arenstorf:01", "arenstorf: 2",
+                                      "arenstorf:+3", "arenstorf:x", "arenstorf:4"])
+    def test_only_exact_problem_names(self, capsys, name):
+        code, out, err = run(capsys, "solve", "--method", "DOPRI5", "--problem", name,
+                             "--atol", "1e-3", "--rtol", "1e-3")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"forge: error[unknown-problem] unknown problem {name!r}")
+
     def test_conflicting_step_flags(self, capsys):
         code, _, err = run(capsys, "solve", "--method", "DOPRI5", "--problem", "vdp",
                            "--h", "0.1", "--atol", "1e-6")

@@ -1,4 +1,5 @@
 import math
+import re
 import zlib
 
 import numpy as np
@@ -11,6 +12,7 @@ from rkforge.problems import (
     RIGID_BODY_I2,
     RIGID_BODY_I3,
     VDP_MU,
+    PROBLEM_NAMES,
     ArenstorfParams,
     SingularityError,
     arenstorf_hamiltonian,
@@ -237,6 +239,24 @@ class TestBenchmarkCases:
         assert benchmark_case("arenstorf").problem.name == "arenstorf:1"
         with pytest.raises(ValueError):
             benchmark_case("nonesuch")
+
+    @pytest.mark.parametrize("name", ["vdp:banana", "rigid-body:x", "brusselator:",
+                                      "arenstorf:", "arenstorf:01", "arenstorf: 2",
+                                      "arenstorf:+3", "arenstorf:x", "arenstorf:4", "VDP"])
+    def test_names_are_exact(self, name):
+        with pytest.raises(ValueError, match=f"^unknown problem {re.escape(repr(name))}$"):
+            benchmark_case(name)
+
+    def test_names_and_fresh_initial_states(self):
+        assert PROBLEM_NAMES == ("vdp", "rigid-body", "brusselator",
+                                 "arenstorf:1", "arenstorf:2", "arenstorf:3")
+        for name in PROBLEM_NAMES + ("arenstorf",):
+            first, second = benchmark_case(name), benchmark_case(name)
+            assert first.y_0 is not second.y_0
+            first.y_0[:] = 7.0
+            assert not np.array_equal(benchmark_case(name).y_0, first.y_0)
+        for group in (1, 2, 3):
+            assert arenstorf_initials(group)[0] is not arenstorf_initials(group)[0]
 
     def test_brusselator_stays_positive(self):
         case = benchmark_case("brusselator")

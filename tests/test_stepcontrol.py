@@ -508,6 +508,21 @@ def test_integration_options_validate_when_built(kwargs):
         IntegrationOptions(**kwargs)
 
 
+@pytest.mark.parametrize("max_steps", [2.5, 3.0, True, False, math.inf, math.nan, "5",
+                                       np.float64(5.0), np.bool_(True)])
+def test_max_steps_must_be_an_integer(max_steps):
+    with pytest.raises(ArgumentError, match="max_steps must be an integer"):
+        IntegrationOptions(max_steps=max_steps)
+
+
+@pytest.mark.parametrize("max_steps", [1, 20, np.int64(20), np.int32(20), np.uint8(20)])
+def test_integer_max_steps_are_taken(max_steps):
+    opts = IntegrationOptions(max_steps=max_steps)
+    with pytest.raises(MaxStepsExceeded, match=f"^no convergence within {max_steps} step"):
+        adaptive_integrate(kernel("DOPRI5"), lambda t, y: y, Tolerances(1e-12, 1e-12),
+                           np.array([1.0]), 0.0, 10.0, options=opts)
+
+
 class CountingRhs:
     """y' = -y, counting its calls."""
 
