@@ -124,26 +124,31 @@ _ARRAYS = (
 def _step(f, t, y, h, reuse=None):
     """One embedded step from (t, y); returns the main and companion updates.
 
-    y is a float array and f must return one (the drivers guarantee both).
-    The split at WIDE_N and ``reuse`` are described in rkforge.stepcontrol.
+    y is a float array; f takes and returns float arrays, or float lists and
+    sequences when it is marked list_rhs (the drivers guarantee either).
+    WIDE_N, list_rhs and ``reuse`` are described in rkforge.stepcontrol.
     """
     if y.shape[0] > WIDE_N:
         return array_step(_ARRAYS, f, t, y, h, reuse)[:2]
     r = range(y.shape[0])
     yl = y.tolist()
-    k1 = f(t, y).tolist() if reuse is None or reuse[0] is None else reuse[0]
-    k2 = f(t + C_2 * h, np.array([yl[a] + h * (A_2_1 * k1[a]) for a in r])).tolist()
-    k3 = f(t + C_3 * h, np.array([yl[a] + h * (A_3_1 * k1[a] + A_3_2 * k2[a]) for a in r])).tolist()
-    k4 = f(t + C_4 * h, np.array([yl[a] + h * (A_4_1 * k1[a] + A_4_3 * k3[a]) for a in r])).tolist()
-    k5 = f(t + C_5 * h, np.array([yl[a] + h * (A_5_1 * k1[a] + A_5_3 * k3[a] + A_5_4 * k4[a]) for a in r])).tolist()
-    k6 = f(t + C_6 * h, np.array([yl[a] + h * (A_6_1 * k1[a] + A_6_4 * k4[a] + A_6_5 * k5[a]) for a in r])).tolist()
-    k7 = f(t + C_7 * h, np.array([yl[a] + h * (A_7_1 * k1[a] + A_7_4 * k4[a] + A_7_5 * k5[a] + A_7_6 * k6[a]) for a in r])).tolist()
-    k8 = f(t + C_8 * h, np.array([yl[a] + h * (A_8_1 * k1[a] + A_8_5 * k5[a] + A_8_6 * k6[a] + A_8_7 * k7[a]) for a in r])).tolist()
-    k9 = f(t + C_9 * h, np.array([yl[a] + h * (A_9_1 * k1[a] + A_9_4 * k4[a] + A_9_5 * k5[a] + A_9_6 * k6[a] + A_9_7 * k7[a] + A_9_8 * k8[a]) for a in r])).tolist()
-    k10 = f(t + C_10 * h, np.array([yl[a] + h * (A_10_1 * k1[a] + A_10_4 * k4[a] + A_10_5 * k5[a] + A_10_6 * k6[a] + A_10_7 * k7[a] + A_10_8 * k8[a] + A_10_9 * k9[a]) for a in r])).tolist()
-    k11 = f(t + C_11 * h, np.array([yl[a] + h * (A_11_1 * k1[a] + A_11_4 * k4[a] + A_11_5 * k5[a] + A_11_6 * k6[a] + A_11_7 * k7[a] + A_11_8 * k8[a] + A_11_9 * k9[a] + A_11_10 * k10[a]) for a in r])).tolist()
-    k12 = f(t, np.array([yl[a] + h * (A_12_1 * k1[a] + A_12_6 * k6[a] + A_12_7 * k7[a] + A_12_8 * k8[a] + A_12_9 * k9[a] + A_12_10 * k10[a]) for a in r])).tolist()
-    k13 = f(t + C_13 * h, np.array([yl[a] + h * (A_13_1 * k1[a] + A_13_4 * k4[a] + A_13_5 * k5[a] + A_13_6 * k6[a] + A_13_7 * k7[a] + A_13_8 * k8[a] + A_13_9 * k9[a] + A_13_10 * k10[a] + A_13_12 * k12[a]) for a in r])).tolist()
+    if getattr(f, "list_rhs", False):
+        put, get, y_1 = list, list, yl
+    else:
+        put, get, y_1 = np.array, np.ndarray.tolist, y
+    k1 = get(f(t, y_1)) if reuse is None or reuse[0] is None else reuse[0]
+    k2 = get(f(t + C_2 * h, put([yl[a] + h * (A_2_1 * k1[a]) for a in r])))
+    k3 = get(f(t + C_3 * h, put([yl[a] + h * (A_3_1 * k1[a] + A_3_2 * k2[a]) for a in r])))
+    k4 = get(f(t + C_4 * h, put([yl[a] + h * (A_4_1 * k1[a] + A_4_3 * k3[a]) for a in r])))
+    k5 = get(f(t + C_5 * h, put([yl[a] + h * (A_5_1 * k1[a] + A_5_3 * k3[a] + A_5_4 * k4[a]) for a in r])))
+    k6 = get(f(t + C_6 * h, put([yl[a] + h * (A_6_1 * k1[a] + A_6_4 * k4[a] + A_6_5 * k5[a]) for a in r])))
+    k7 = get(f(t + C_7 * h, put([yl[a] + h * (A_7_1 * k1[a] + A_7_4 * k4[a] + A_7_5 * k5[a] + A_7_6 * k6[a]) for a in r])))
+    k8 = get(f(t + C_8 * h, put([yl[a] + h * (A_8_1 * k1[a] + A_8_5 * k5[a] + A_8_6 * k6[a] + A_8_7 * k7[a]) for a in r])))
+    k9 = get(f(t + C_9 * h, put([yl[a] + h * (A_9_1 * k1[a] + A_9_4 * k4[a] + A_9_5 * k5[a] + A_9_6 * k6[a] + A_9_7 * k7[a] + A_9_8 * k8[a]) for a in r])))
+    k10 = get(f(t + C_10 * h, put([yl[a] + h * (A_10_1 * k1[a] + A_10_4 * k4[a] + A_10_5 * k5[a] + A_10_6 * k6[a] + A_10_7 * k7[a] + A_10_8 * k8[a] + A_10_9 * k9[a]) for a in r])))
+    k11 = get(f(t + C_11 * h, put([yl[a] + h * (A_11_1 * k1[a] + A_11_4 * k4[a] + A_11_5 * k5[a] + A_11_6 * k6[a] + A_11_7 * k7[a] + A_11_8 * k8[a] + A_11_9 * k9[a] + A_11_10 * k10[a]) for a in r])))
+    k12 = get(f(t, put([yl[a] + h * (A_12_1 * k1[a] + A_12_6 * k6[a] + A_12_7 * k7[a] + A_12_8 * k8[a] + A_12_9 * k9[a] + A_12_10 * k10[a]) for a in r])))
+    k13 = get(f(t + C_13 * h, put([yl[a] + h * (A_13_1 * k1[a] + A_13_4 * k4[a] + A_13_5 * k5[a] + A_13_6 * k6[a] + A_13_7 * k7[a] + A_13_8 * k8[a] + A_13_9 * k9[a] + A_13_10 * k10[a] + A_13_12 * k12[a]) for a in r])))
     y_next = np.array([yl[a] + h * (B_1 * k1[a] + B_6 * k6[a] + B_7 * k7[a] + B_8 * k8[a] + B_9 * k9[a] + B_10 * k10[a] + B_11 * k11[a]) for a in r])
     y_hat_next = np.array([yl[a] + h * (BH_6 * k6[a] + BH_7 * k7[a] + BH_8 * k8[a] + BH_9 * k9[a] + BH_10 * k10[a] + BH_12 * k12[a] + BH_13 * k13[a]) for a in r])
     if reuse is not None:

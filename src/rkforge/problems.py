@@ -5,10 +5,11 @@ The Arenstorf problem is the planar restricted three-body problem in synodic
 is ordered (p_x, p_y, q_x, q_y).  Orbit closure after one period measures the
 integrator's global error.
 
-Each rhs takes the float array the drivers pass and computes on plain Python
-floats (``y.tolist()``), which at these sizes beats numpy's per-scalar
-dispatch; the results are bit-identical to the same expressions on numpy
-scalars.
+Each rhs computes on plain Python floats, which at these sizes beats numpy's
+per-scalar dispatch, with results bit-identical to the same expressions on
+numpy scalars.  It takes a list of floats and returns a list, or a float
+array and returns a float array; the benchmark cases opt in to the list form
+(ODEProblem.list_rhs), so the generated kernels pass them their stage lists.
 """
 from __future__ import annotations
 
@@ -79,19 +80,21 @@ class ArenstorfParams:
 
 
 def vdp_rhs(t, y):
-    x1, x2 = y.tolist()
-    return np.array([x2, VDP_MU * (1.0 - x1 * x1) * x2 - x1])
+    x1, x2 = yl = y if type(y) is list else y.tolist()
+    dy = [x2, VDP_MU * (1.0 - x1 * x1) * x2 - x1]
+    return dy if yl is y else np.array(dy)
 
 
 def rigid_body_rhs(t, y):
-    x1, x2, x3 = y.tolist()
-    return np.array([RIGID_BODY_I1 * x2 * x3, RIGID_BODY_I2 * x1 * x3,
-                     RIGID_BODY_I3 * x1 * x2])
+    x1, x2, x3 = yl = y if type(y) is list else y.tolist()
+    dy = [RIGID_BODY_I1 * x2 * x3, RIGID_BODY_I2 * x1 * x3, RIGID_BODY_I3 * x1 * x2]
+    return dy if yl is y else np.array(dy)
 
 
 def brusselator_rhs(t, y):
-    x1, x2 = y.tolist()
-    return np.array([1.0 + x1 * x1 * x2 - 4.0 * x1, 3.0 * x1 - x1 * x1 * x2])
+    x1, x2 = yl = y if type(y) is list else y.tolist()
+    dy = [1.0 + x1 * x1 * x2 - 4.0 * x1, 3.0 * x1 - x1 * x1 * x2]
+    return dy if yl is y else np.array(dy)
 
 
 def _radii(q_x, q_y, mu1, mu2):
@@ -109,13 +112,14 @@ def _arenstorf_field(params: ArenstorfParams):
     mu2 = 1.0 - mu1
 
     def rhs(t, y):
-        p_x, p_y, q_x, q_y = y.tolist()
+        p_x, p_y, q_x, q_y = yl = y if type(y) is list else y.tolist()
         r1, r2 = _radii(q_x, q_y, mu1, mu2)
         r1c = r1 ** 3
         r2c = r2 ** 3
         df_dqx = -mu1 * (q_x - mu2) / r1c - mu2 * (q_x + mu1) / r2c
         df_dqy = -mu1 * q_y / r1c - mu2 * q_y / r2c
-        return np.array([p_y + df_dqx, -p_x + df_dqy, p_x + q_y, p_y - q_x])
+        dy = [p_y + df_dqx, -p_x + df_dqy, p_x + q_y, p_y - q_x]
+        return dy if yl is y else np.array(dy)
 
     return rhs
 
@@ -170,11 +174,13 @@ class BenchmarkCase:
 
 # CLI name -> (problem, y_0, t_stop); every case starts at t = 0.
 _CASES = {
-    "vdp": (ODEProblem(2, vdp_rhs, "vdp"), (0.0, math.sqrt(3.0)), 12.0),
-    "rigid-body": (ODEProblem(3, rigid_body_rhs, "rigid-body"), (0.0, 1.0, 1.0), 12.0),
-    "brusselator": (ODEProblem(2, brusselator_rhs, "brusselator"), (1.5, 3.0), 20.0),
+    "vdp": (ODEProblem(2, vdp_rhs, "vdp", list_rhs=True), (0.0, math.sqrt(3.0)), 12.0),
+    "rigid-body": (ODEProblem(3, rigid_body_rhs, "rigid-body", list_rhs=True),
+                   (0.0, 1.0, 1.0), 12.0),
+    "brusselator": (ODEProblem(2, brusselator_rhs, "brusselator", list_rhs=True),
+                    (1.5, 3.0), 20.0),
     **{f"arenstorf:{group}": (ODEProblem(4, _arenstorf_field(ArenstorfParams(mu1)),
-                                         f"arenstorf:{group}"), state, period)
+                                         f"arenstorf:{group}", list_rhs=True), state, period)
        for group, (state, mu1, period) in _ARENSTORF_GROUPS.items()},
 }
 

@@ -71,6 +71,11 @@ class ArgumentError(ValueError):
     """A refused argument, raised before any rhs call."""
 
 
+def _is_real(x) -> bool:
+    """Whether x is a real number other than a bool; numpy scalars count."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Absolute and relative tolerance; at least one must be positive."""
@@ -79,8 +84,10 @@ class Tolerances:
     r_tol: float
 
     def __post_init__(self):
-        if not (self.a_tol >= 0 and self.r_tol >= 0):
-            raise ArgumentError("tolerances must be nonnegative numbers")
+        if not (_is_real(self.a_tol) and _is_real(self.r_tol)
+                and self.a_tol >= 0 and self.r_tol >= 0):
+            raise ArgumentError(f"tolerances must be nonnegative numbers, "
+                                f"got {self.a_tol!r} and {self.r_tol!r}")
         if self.a_tol + self.r_tol == 0:
             raise ArgumentError("a_tol and r_tol cannot both be zero")
 
@@ -122,11 +129,19 @@ class ControllerParams:
 
 @dataclass(frozen=True)
 class ODEProblem:
-    """First-order system: rhs(t, y) -> dy/dt, with fixed dimension."""
+    """First-order system: rhs(t, y) -> dy/dt, with fixed dimension.
+
+    By default rhs takes a float array.  ``list_rhs=True`` opts in to plain
+    floats: rhs must then also take a list of N floats, as a generated _step
+    up to WIDE_N passes it, and return N floats, fastest as a list.  Given an
+    array it must still return an array-like.  The shipped problems opt in,
+    and dataclasses.replace(case.problem, rhs=...) keeps the form.
+    """
 
     dimension: int
     rhs: Callable[[float, np.ndarray], Sequence[float]]
     name: str = ""
+    list_rhs: bool = False
 
 
 @dataclass(frozen=True)
@@ -175,8 +190,8 @@ class IntegrationOptions:
     max_steps: int = 10 ** 6
 
     def __post_init__(self):
-        if self.h0 is not None and not self.h0 > 0:
-            raise ArgumentError(f"h0 must be positive, got {self.h0!r}")
+        if self.h0 is not None and not (_is_real(self.h0) and self.h0 > 0):
+            raise ArgumentError(f"h0 must be a positive number, got {self.h0!r}")
         if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral):
             raise ArgumentError(f"max_steps must be an integer, got {self.max_steps!r}")
         if not self.max_steps >= 1:
@@ -385,6 +400,8 @@ def _entry_check(prob, y_0, t_start: float, t_stop: float, h: float):
     bare rhs callable.  Returns (f, y): prob's rhs wrapped to return float
     arrays checked to have shape (N,), and y_0 as a float array of its own.
     A wrong shape can show mid-run, so f raises a plain ValueError for it.
+    For a list_rhs problem f carries list_rhs = True, and given a list it
+    returns a list result of length N as is, checking nothing else.
     """
     y = np.array(y_0, dtype=float)
     prob = prob if isinstance(prob, ODEProblem) else ODEProblem(len(y), prob)
@@ -398,14 +415,18 @@ def _entry_check(prob, y_0, t_start: float, t_stop: float, h: float):
         raise ArgumentError("initial state must be finite")
     if not h > 0:
         raise ArgumentError(f"step size must be positive, got {h!r}")
-    rhs = prob.rhs
+    rhs, lists = prob.rhs, prob.list_rhs
 
     def f(t, y):
-        out = np.asarray(rhs(t, y), dtype=float)
+        out = rhs(t, y)
+        if lists and type(y) is list and type(out) is list and len(out) == n:
+            return out
+        out = np.asarray(out, dtype=float)
         if out.shape != (n,):
             raise ValueError(f"rhs returned shape {out.shape}, expected ({n},)")
         return out
 
+    f.list_rhs = lists
     return f, y
 
 

@@ -10,6 +10,7 @@ rendered or a kernel is built.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,6 +71,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise CoefficientError(f"coefficient {value!r} is not a finite number")
         if value != int(value):
             raise CoefficientError(
                 f"non-integer number {value!r} is not exact; write it as a fraction string \"m/n\"")

@@ -70,6 +70,23 @@ class TestValidate:
         [line] = err.splitlines()
         assert line.startswith("forge: error[invalid-tableau] ")
 
+    @pytest.mark.parametrize("key", ["a", "b", "b_hat", "c"])
+    @pytest.mark.parametrize("number", [math.inf, -math.inf, math.nan])
+    def test_non_finite_number_is_an_invalid_file(self, capsys, tmp_path, key, number):
+        # json writes these as the literals Infinity, -Infinity and NaN, and
+        # json.loads reads them back as floats
+        [erk] = [m for m in json.loads(shipped_method_path().read_text())
+                 if m["name"] == "ERK43b"]
+        row = erk[key][0] if key == "a" else erk[key]
+        row[0] = number
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([erk]))
+        code, out, err = run(capsys, "validate", "--methods", str(path))
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("forge: error[invalid-method-file] ")
+        assert "not a finite number" in line
+
     def test_strict_lists_warnings(self, capsys):
         # the 8(7) table's published rationals carry a tiny order-2 residual
         code, out, err = run(capsys, "validate", "--strict")
@@ -144,7 +161,7 @@ class TestGenerate:
         assert line.startswith("forge: error[invalid-method-file] ")
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("name", ["Class", "KERNEL", "np", "A_2_1"])
+    @pytest.mark.parametrize("name", ["Class", "KERNEL", "np", "A_2_1", "list"])
     def test_unusable_method_name_exit_2(self, capsys, tmp_path, name):
         # each would give a module that breaks on import or on its first solve
         [erk] = [m for m in json.loads(shipped_method_path().read_text())

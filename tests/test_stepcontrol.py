@@ -515,6 +515,32 @@ def test_max_steps_must_be_an_integer(max_steps):
         IntegrationOptions(max_steps=max_steps)
 
 
+@pytest.mark.parametrize("h0", [True, False, np.bool_(True), "0.1", [0.1], 1j])
+def test_h0_must_be_a_real_number(h0):
+    with pytest.raises(ArgumentError, match="h0 must be a positive number"):
+        IntegrationOptions(h0=h0)
+
+
+@pytest.mark.parametrize("a_tol, r_tol", [
+    (True, 0.0), (0.0, True), (np.bool_(True), 0.0), ("1e-6", 1e-6), (1e-6, "1e-6"),
+    (1e-6, None), (None, 1e-6), (1e-6, 1j), (math.nan, 1e-6),
+])
+def test_tolerances_must_be_real_numbers(a_tol, r_tol):
+    with pytest.raises(ArgumentError, match="tolerances must be nonnegative numbers"):
+        Tolerances(a_tol, r_tol)
+
+
+@pytest.mark.parametrize("value", [1e-6, 1, np.float64(1e-6), np.float32(1e-6),
+                                   np.int64(1), np.uint8(1)])
+def test_python_and_numpy_reals_are_taken(value):
+    Tolerances(value, value)
+    Tolerances(value, 0.0)
+    t_n, _ = adaptive_integrate(kernel("DOPRI5"), lambda t, y: -y, Tolerances(value, 0.0),
+                                np.array([1.0]), 0.0, 1.0, last=True,
+                                options=IntegrationOptions(h0=value))
+    assert t_n == 1.0
+
+
 @pytest.mark.parametrize("max_steps", [1, 20, np.int64(20), np.int32(20), np.uint8(20)])
 def test_integer_max_steps_are_taken(max_steps):
     opts = IntegrationOptions(max_steps=max_steps)
