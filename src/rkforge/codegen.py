@@ -45,9 +45,9 @@ _PLACEHOLDERS = frozenset({
 # drivers and its coefficient constants; a driver of the same name would
 # shadow it.
 _MODULE_NAMES = frozenset({
-    "np", "WIDE_N", "StepKernel", "Tolerances", "adaptive_integrate", "array_step",
-    "fixed_integrate", "integrate_info", "_ARRAYS", "_step", "KERNEL", "range",
-    "getattr", "list",
+    "np", "WIDE_N", "StepKernel", "Tolerances", "adaptive_integrate", "fixed_integrate",
+    "integrate_info", "step_on_arrays", "_ARRAYS", "_step", "KERNEL", "range", "type",
+    "list", "len",
 })
 
 _DRIVER_SUFFIX_RE = re.compile(r"^def \{\{method_name\}\}(\w*)\(", re.MULTILINE)
@@ -102,8 +102,8 @@ def _arrays(a, b, b_hat, c) -> str:
         f"    np.array([{array(v)}])," for v in (b, b_hat, c))
 
 
-def _increment(names, wrap="np.array") -> str | None:
-    """y + h * (weighted sum of stages) passed to ``wrap``, or None when
+def _increment(names) -> str | None:
+    """y + h * (weighted sum of stages) as a list of floats, or None when
     every weight is zero.
 
     Zero weights are elided and the terms are summed left to right in stage
@@ -112,17 +112,16 @@ def _increment(names, wrap="np.array") -> str | None:
     terms = [f"{n} * k{j + 1}[a]" for j, n in enumerate(names) if n]
     if not terms:
         return None
-    return f"{wrap}([yl[a] + h * ({' + '.join(terms)}) for a in r])"
+    return f"[y[a] + h * ({' + '.join(terms)}) for a in r]"
 
 
 def _stage_lines(a, c) -> str:
     """Unrolled stage evaluations on float lists, one line per stage after
-    the first (the float side of stepcontrol.WIDE_N); the template binds
-    put and get to the conversions f's form needs."""
+    the first (the float side of stepcontrol.WIDE_N)."""
     lines = []
     for i in range(1, len(a)):
         time = f"t + {c[i]} * h" if c[i] else "t"
-        lines.append(f"    k{i + 1} = get(f({time}, {_increment(a[i], 'put') or 'y_1'}))")
+        lines.append(f"    k{i + 1} = f({time}, {_increment(a[i]) or 'y'})")
     return "\n".join(lines)
 
 

@@ -12,9 +12,9 @@ from rkforge.stepcontrol import (
     StepKernel,
     Tolerances,
     adaptive_integrate,
-    array_step,
     fixed_integrate,
     integrate_info,
+    step_on_arrays,
 )
 
 A_2_1 = 0.25
@@ -64,31 +64,30 @@ _ARRAYS = (
 
 
 def _step(f, t, y, h, reuse=None):
-    """One embedded step from (t, y); returns the main and companion updates.
+    """One embedded step from (t, y); returns the main and companion updates
+    as the kind of y, a float array or a list of floats (StepKernel).
 
-    y is a float array; f takes and returns float arrays, or float lists and
-    sequences when it is marked list_rhs (the drivers guarantee either).
-    WIDE_N, list_rhs and ``reuse`` are described in rkforge.stepcontrol.
+    This body takes a list of up to WIDE_N floats and an f that takes such
+    lists and returns N floats; step_on_arrays takes any other y.  WIDE_N
+    and ``reuse`` are described in rkforge.stepcontrol.
     """
-    if y.shape[0] > WIDE_N:
-        return array_step(_ARRAYS, f, t, y, h, reuse)[:2]
-    r = range(y.shape[0])
-    yl = y.tolist()
-    if getattr(f, "list_rhs", False):
-        put, get, y_1 = list, list, yl
-    else:
-        put, get, y_1 = np.array, np.ndarray.tolist, y
-    k1 = get(f(t, y_1)) if reuse is None or reuse[0] is None else reuse[0]
-    k2 = get(f(t + C_2 * h, put([yl[a] + h * (A_2_1 * k1[a]) for a in r])))
-    k3 = get(f(t + C_3 * h, put([yl[a] + h * (A_3_1 * k1[a] + A_3_2 * k2[a]) for a in r])))
-    k4 = get(f(t + C_4 * h, put([yl[a] + h * (A_4_1 * k1[a] + A_4_2 * k2[a] + A_4_3 * k3[a]) for a in r])))
-    k5 = get(f(t + C_5 * h, put([yl[a] + h * (A_5_1 * k1[a] + A_5_2 * k2[a] + A_5_3 * k3[a] + A_5_4 * k4[a]) for a in r])))
-    k6 = get(f(t + C_6 * h, put([yl[a] + h * (A_6_1 * k1[a] + A_6_2 * k2[a] + A_6_3 * k3[a] + A_6_4 * k4[a] + A_6_5 * k5[a]) for a in r])))
-    y_next = np.array([yl[a] + h * (B_1 * k1[a] + B_3 * k3[a] + B_4 * k4[a] + B_5 * k5[a]) for a in r])
-    y_hat_next = np.array([yl[a] + h * (BH_1 * k1[a] + BH_3 * k3[a] + BH_4 * k4[a] + BH_5 * k5[a] + BH_6 * k6[a]) for a in r])
+    if type(y) is not list or len(y) > WIDE_N:
+        return step_on_arrays(_step, _ARRAYS, f, t, y, h, reuse)
+    r = range(len(y))
+    k1 = f(t, y) if reuse is None or reuse[0] is None else reuse[0]
+    k2 = f(t + C_2 * h, [y[a] + h * (A_2_1 * k1[a]) for a in r])
+    k3 = f(t + C_3 * h, [y[a] + h * (A_3_1 * k1[a] + A_3_2 * k2[a]) for a in r])
+    k4 = f(t + C_4 * h, [y[a] + h * (A_4_1 * k1[a] + A_4_2 * k2[a] + A_4_3 * k3[a]) for a in r])
+    k5 = f(t + C_5 * h, [y[a] + h * (A_5_1 * k1[a] + A_5_2 * k2[a] + A_5_3 * k3[a] + A_5_4 * k4[a]) for a in r])
+    k6 = f(t + C_6 * h, [y[a] + h * (A_6_1 * k1[a] + A_6_2 * k2[a] + A_6_3 * k3[a] + A_6_4 * k4[a] + A_6_5 * k5[a]) for a in r])
+    y_next = [y[a] + h * (B_1 * k1[a] + B_3 * k3[a] + B_4 * k4[a] + B_5 * k5[a]) for a in r]
+    y_hat_next = [y[a] + h * (BH_1 * k1[a] + BH_3 * k3[a] + BH_4 * k4[a] + BH_5 * k5[a] + BH_6 * k6[a]) for a in r]
     if reuse is not None:
         reuse[:] = k1, None
     return y_next, y_hat_next
+
+
+_step.lists = True
 
 
 KERNEL = StepKernel(name="Fehlberg45", order=4, stages=6, step=_step)

@@ -17,12 +17,14 @@ t_stop whenever h = t_stop - t, whatever t + h rounds to.  An attempt below
 h_min = 1e4 * eps * max(|t_start|, |t_stop|, 1) that would end before
 t_stop raises StepSizeUnderflow instead (ArgumentError if it is the first).
 
-Three places split at WIDE_N components, because numpy's per-operation
+Four places split at WIDE_N components, because numpy's per-operation
 dispatch outweighs the arithmetic on small systems: up to WIDE_N they work
-on plain Python floats, above it on arrays.  They are a generated _step,
-which hands wider systems to array_step; error_norm, which sums in numpy's
-pairwise order so that E has the bits of the array formula on both sides;
-and fixed_integrate's finiteness check.
+on plain Python floats, above it on arrays.  They are the drivers' state,
+a list of floats from the entry check to the API boundary, where it becomes
+a float array again; a generated _step, which takes that list and returns
+lists, and hands wider systems to array_step; error_norm, which sums in
+numpy's pairwise order so that E has the bits of the array formula on both
+sides; and fixed_integrate's finiteness check.
 
 Generated solver modules run the same driver loop, so the control
 arithmetic has a single home.
@@ -56,6 +58,7 @@ __all__ = [
     "interpreted_kernel",
     "erk_step_generic",
     "array_step",
+    "step_on_arrays",
     "error_norm",
     "propose_step_size",
     "rescale_rejected",
@@ -131,11 +134,11 @@ class ControllerParams:
 class ODEProblem:
     """First-order system: rhs(t, y) -> dy/dt, with fixed dimension.
 
-    By default rhs takes a float array.  ``list_rhs=True`` opts in to plain
-    floats: rhs must then also take a list of N floats, as a generated _step
-    up to WIDE_N passes it, and return N floats, fastest as a list.  Given an
-    array it must still return an array-like.  The shipped problems opt in,
-    and dataclasses.replace(case.problem, rhs=...) keeps the form.
+    By default rhs takes a float array.  ``list_rhs=True`` says that rhs
+    also takes a list of N floats and then returns N floats, fastest as a
+    list; given an array it must still return an array-like.  Up to WIDE_N
+    the drivers then pass it their stage lists.  The shipped problems opt
+    in, and dataclasses.replace(case.problem, rhs=...) keeps the form.
     """
 
     dimension: int
@@ -168,14 +171,22 @@ class StepKernel:
     """One embedded step: step(f, t, y, h, reuse=None) -> (y_next, y_hat_next).
 
     Both the generic interpreter kernel and every generated specialized
-    kernel satisfy this contract.  Without ``reuse`` a step evaluates every
-    stage.  The drivers pass one two-slot list per run instead: on entry
-    reuse[0] is k1 = f(t, y) or None; on return reuse[0] holds the k1 the step
-    used and reuse[1] the last stage when that is f(t + h, y_next) bit for
-    bit (first same as last), None otherwise.  So the drivers evaluate f once
-    per distinct (t, y): a retry after a rejection starts from the k1 it
-    already has, and an FSAL method's next step from the last stage.  The
-    results keep their bits; only an rhs with side effects sees fewer calls.
+    kernel satisfy this contract: y is a float array of shape (N,), and f
+    takes and returns such arrays.  A step marked ``step.lists = True``, as
+    every generated _step is, returns the kind of y it was given: given a
+    list of N floats, it calls f with lists and returns two lists.  The
+    drivers hand such a step their state as is (module docstring), any other
+    a float array; its results must be N floats, else a ValueError names
+    their shape.
+
+    Without ``reuse`` a step evaluates every stage.  The drivers pass one
+    two-slot list per run instead: on entry reuse[0] is k1 = f(t, y) or
+    None; on return reuse[0] holds the k1 the step used and reuse[1] the last
+    stage when that is f(t + h, y_next) bit for bit (first same as last),
+    None otherwise.  So the drivers evaluate f once per distinct (t, y): a
+    retry after a rejection starts from the k1 it already has, and an FSAL
+    method's next step from the last stage.  The results keep their bits;
+    only an rhs with side effects sees fewer calls.
     """
 
     name: str
@@ -203,14 +214,15 @@ class IntegrationError(RuntimeError):
 
     t and y are the time and state the driver last reached: the last
     accepted point of an adaptive run, and for DivergenceError the point
-    before the step that produced a non-finite state, so y is finite.  log
+    before the step that produced a non-finite state, so y is finite; y is
+    a float array of its own, whatever the kernel returned.  log
     is the partial StepLog of an adaptive run, None for a fixed-step one.
     """
 
-    def __init__(self, message: str, t: float, y: np.ndarray, log: StepLog | None = None):
+    def __init__(self, message: str, t: float, y, log: StepLog | None = None):
         super().__init__(message)
         self.t = t
-        self.y = y
+        self.y = np.array(y, dtype=float)
         self.log = log
 
 
@@ -281,6 +293,31 @@ def array_step(coefficients, f, t_m: float, y_m: np.ndarray, h: float, reuse=Non
     return y_next, y_hat_next, k
 
 
+def step_on_arrays(list_step, coefficients, f, t_m: float, y_m, h: float, reuse=None):
+    """A generated _step on what its list body does not take, which is a
+    float array or a list longer than WIDE_N; returns the kind of y_m.
+
+    Above WIDE_N it runs array_step on ``coefficients``, and f gets float
+    arrays.  Up to WIDE_N it runs ``list_step`` on y_m.tolist(): an f marked
+    list_rhs (the drivers' rhs for such a problem) gets the stage lists, any
+    other f float arrays, k1 getting y_m itself.
+    """
+    if type(y_m) is list:
+        y_m = np.array(y_m, dtype=float)
+        return [v.tolist() for v in array_step(coefficients, f, t_m, y_m, h, reuse)[:2]]
+    if y_m.shape[0] > WIDE_N:
+        return array_step(coefficients, f, t_m, y_m, h, reuse)[:2]
+    y = y_m.tolist()
+    if not getattr(f, "list_rhs", False):
+        rhs = f
+
+        def f(t, y_i):
+            return rhs(t, y_m if y_i is y else np.array(y_i)).tolist()
+
+    y_next, y_hat_next = list_step(f, t_m, y, h, reuse)
+    return np.array(y_next), np.array(y_hat_next)
+
+
 def interpreted_kernel(t: ButcherTableau) -> StepKernel:
     """The generic interpreter (erk_step_generic) packaged as a step kernel.
 
@@ -298,10 +335,11 @@ def interpreted_kernel(t: ButcherTableau) -> StepKernel:
     return StepKernel(name=t.name, order=t.p, stages=t.s, step=step)
 
 
-def error_norm(y: np.ndarray, y_hat: np.ndarray, tol: Tolerances) -> float:
+def error_norm(y, y_hat, tol: Tolerances) -> float:
     """RMS of componentwise differences scaled by sc = a_tol + max|.|*r_tol.
 
-    A non-finite difference forces E = +inf.  A zero scale (possible only
+    y and y_hat are float arrays or lists of floats, of one length.  A
+    non-finite difference forces E = +inf.  A zero scale (possible only
     with a_tol = 0) contributes 0 when the difference is zero too, and forces
     E = +inf otherwise, so the step gets rejected rather than silently
     accepted.  Both sides of WIDE_N give the same bits (module docstring).
@@ -310,15 +348,35 @@ def error_norm(y: np.ndarray, y_hat: np.ndarray, tol: Tolerances) -> float:
     difference or an overflowing square makes the pairwise sum non-finite,
     which maps to E = +inf, so no separate finiteness pass is needed.
     """
-    y = np.asarray(y, dtype=float)
-    y_hat = np.asarray(y_hat, dtype=float)
-    if y.shape != y_hat.shape or y.ndim != 1 or y.size == 0:
-        raise ValueError("y and y_hat must be equal-length nonempty vectors")
-    n = y.shape[0]
-    if n <= WIDE_N:
-        a_tol, r_tol = tol.a_tol, tol.r_tol
-        q = []
-        for u, v in zip(y.tolist(), y_hat.tolist()):
+    if not (type(y) is list and type(y_hat) is list and 0 < len(y) == len(y_hat) <= WIDE_N):
+        y = np.asarray(y, dtype=float)
+        y_hat = np.asarray(y_hat, dtype=float)
+        if y.shape != y_hat.shape or y.ndim != 1 or y.size == 0:
+            raise ValueError("y and y_hat must be equal-length nonempty vectors")
+        n = y.shape[0]
+        if n > WIDE_N:
+            sc = np.abs(y)
+            q = np.abs(y_hat)
+            np.maximum(sc, q, out=sc)
+            sc *= tol.r_tol
+            sc += tol.a_tol
+            np.subtract(y, y_hat, out=q)
+            if tol.a_tol == 0.0:
+                zero_scale = sc == 0.0
+                if zero_scale.any():
+                    if q[zero_scale].any():
+                        return math.inf
+                    sc[zero_scale] = 1.0
+            q /= sc
+            q *= q
+            # np.mean's own sum and division, without its overhead
+            s = float(np.add.reduce(q)) / n
+            return math.sqrt(s) if math.isfinite(s) else math.inf
+        y, y_hat = y.tolist(), y_hat.tolist()
+    a_tol, r_tol = tol.a_tol, tol.r_tol
+    q = []
+    try:
+        for u, v in zip(y, y_hat):
             d = u - v
             if not math.isfinite(d):
                 return math.inf
@@ -331,24 +389,9 @@ def error_norm(y: np.ndarray, y_hat: np.ndarray, tol: Tolerances) -> float:
             else:
                 d /= sc
                 q.append(d * d)
-        return math.sqrt(_pairwise_sum(q) / n)
-    sc = np.abs(y)
-    q = np.abs(y_hat)
-    np.maximum(sc, q, out=sc)
-    sc *= tol.r_tol
-    sc += tol.a_tol
-    np.subtract(y, y_hat, out=q)
-    if tol.a_tol == 0.0:
-        zero_scale = sc == 0.0
-        if zero_scale.any():
-            if q[zero_scale].any():
-                return math.inf
-            sc[zero_scale] = 1.0
-    q /= sc
-    q *= q
-    # np.mean's own sum and division, without its overhead
-    s = float(np.add.reduce(q)) / n
-    return math.sqrt(s) if math.isfinite(s) else math.inf
+    except TypeError:  # an entry that is not a number, such as a nested list
+        raise ValueError("y and y_hat must be equal-length nonempty vectors") from None
+    return math.sqrt(_pairwise_sum(q) / len(q))
 
 
 def _pairwise_sum(q: list) -> float:
@@ -397,11 +440,12 @@ def rescale_rejected(h_m: float, e_m: float, cp: ControllerParams) -> float:
 def _entry_check(prob, y_0, t_start: float, t_stop: float, h: float):
     """The argument check every driver and erk_step_generic run first, which
     raises ArgumentError before any rhs call; ``prob`` is an ODEProblem or a
-    bare rhs callable.  Returns (f, y): prob's rhs wrapped to return float
-    arrays checked to have shape (N,), and y_0 as a float array of its own.
-    A wrong shape can show mid-run, so f raises a plain ValueError for it.
-    For a list_rhs problem f carries list_rhs = True, and given a list it
-    returns a list result of length N as is, checking nothing else.
+    bare rhs callable.  Returns (f, y): prob's rhs wrapped, and y_0 as a
+    float array of its own.  f returns the kind of y it was given, a float
+    array or a list of N floats, checked to have shape (N,); a wrong shape
+    can show mid-run, so f raises a plain ValueError for it.  f carries
+    prob.list_rhs as list_rhs.  For such a problem it hands a list to rhs as
+    is, and returns a list result of length N as is, checking nothing else.
     """
     y = np.array(y_0, dtype=float)
     prob = prob if isinstance(prob, ODEProblem) else ODEProblem(len(y), prob)
@@ -418,16 +462,49 @@ def _entry_check(prob, y_0, t_start: float, t_stop: float, h: float):
     rhs, lists = prob.rhs, prob.list_rhs
 
     def f(t, y):
-        out = rhs(t, y)
-        if lists and type(y) is list and type(out) is list and len(out) == n:
-            return out
+        if type(y) is not list:
+            out = rhs(t, y)
+        elif lists:
+            try:
+                out = rhs(t, y)
+            except TypeError as exc:
+                raise TypeError(f"the rhs of a list_rhs problem must take a list of {n} "
+                                f"floats, or be built with list_rhs=False") from exc
+            if type(out) is list and len(out) == n:
+                return out
+        else:
+            out = rhs(t, np.array(y))
         out = np.asarray(out, dtype=float)
         if out.shape != (n,):
             raise ValueError(f"rhs returned shape {out.shape}, expected ({n},)")
-        return out
+        return out if type(y) is not list else out.tolist()
 
     f.list_rhs = lists
     return f, y
+
+
+def _driver_state(kernel: StepKernel, y: np.ndarray):
+    """The drivers' state and step for the float array y.
+
+    The state is y.tolist() up to WIDE_N and y above it.  A step marked
+    lists takes the state as is.  Any other step gets a float array, and
+    each of its results must be N floats; it comes back as the state's kind.
+    """
+    n = y.shape[0]
+    state = y.tolist() if n <= WIDE_N else y
+    step = kernel.step
+    if getattr(step, "lists", False):
+        return step, state
+
+    def adapted(f, t, y, h, reuse):
+        out = [np.asarray(v, dtype=float) for v in step(f, t, np.asarray(y), h, reuse)]
+        for v in out:
+            if v.shape != (n,):
+                raise ValueError(f"kernel {kernel.name!r} returned shape {v.shape}, "
+                                 f"expected ({n},)")
+        return out if n > WIDE_N else [v.tolist() for v in out]
+
+    return adapted, state
 
 
 def _step_log(attempts) -> StepLog:
@@ -444,16 +521,17 @@ def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances,
                    record_states: bool):
     """The adaptive loop behind every adaptive driver.
 
-    Returns (t_n, y_n, states, attempts).  states lists y_0 and the state at
-    each accepted point when ``record_states`` and is None otherwise.
+    Returns (t_n, y_n, states, attempts), y_n and states in the kind of the
+    drivers' state.  states lists y_0 and the state at each accepted point
+    when ``record_states`` and is None otherwise.
     attempts holds one record (t, h, E, accepted) per attempt, t being the
     time after it; _step_log builds every StepLog and grid from them.
     """
     opts = options or IntegrationOptions()
     h = opts.h0 if opts.h0 is not None else (t_stop - t_start) / 100.0
     f, y = _entry_check(prob, y_0, t_start, t_stop, h)
+    step, y = _driver_state(kernel, y)
     cp = ControllerParams.for_order(kernel.order)
-    step = kernel.step
     h_min = 1e4 * np.finfo(float).eps * max(abs(t_start), abs(t_stop), 1.0)
 
     t = t_start
@@ -505,7 +583,7 @@ def adaptive_integrate(method: StepKernel, prob, tol: Tolerances, y_0,
     t, y, states, attempts = _adaptive_loop(method, prob, tol, y_0, t_start, t_stop,
                                             options, record_states=not last)
     if last:
-        return float(t), y
+        return float(t), np.array(y)
     times = np.concatenate(([t_start], _step_log(attempts).accepted_t))
     return Trajectory(times=times, states=np.array(states))
 
@@ -531,6 +609,7 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
     A non-finite state raises DivergenceError (see IntegrationError).
     """
     f, y = _entry_check(prob, y_0, t_start, t_stop, h)
+    step, y = _driver_state(method, y)
     if options is not None and options.h0 is not None:
         raise ArgumentError(f"h0 applies only to adaptive runs, got h0 = {options.h0!r}")
     max_steps = (options or IntegrationOptions()).max_steps
@@ -539,23 +618,18 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
     if span_steps > max_steps:
         raise ArgumentError(f"step size {h!r} takes more than max_steps = {max_steps} "
                             f"steps over [{t_start!r}, {t_stop!r}]")
-    step = method.step
     n_steps = max(1, math.ceil(span_steps))
-    if not last:
-        times = np.empty(n_steps + 1)
-        states = np.empty((n_steps + 1, y.shape[0]))
-        times[0], states[0] = t_start, y
     t = t_start
+    times, states = [t], [y.copy()]
     reuse = [None, None]
-    wide = y.shape[0] > WIDE_N
+    wide = type(y) is not list
     for m in range(n_steps):
         t_next = t_start + (m + 1) * h
         if m == n_steps - 1 or t_next > t_stop:
             t_next = t_stop
         h_m = t_next - t
         y_next, _ = step(f, t, y, h_m, reuse)
-        y_next = np.asarray(y_next)  # any array-like, as the adaptive driver takes
-        if not (np.isfinite(y_next).all() if wide else all(map(math.isfinite, y_next.tolist()))):
+        if not (np.isfinite(y_next).all() if wide else all(map(math.isfinite, y_next))):
             raise DivergenceError(
                 f"non-finite state produced at t = {t}", t, y)
         y = y_next
@@ -563,7 +637,8 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
         reuse[0] = reuse[1] if t + h_m == t_next else None
         t = t_next
         if not last:
-            times[m + 1], states[m + 1] = t, y
+            times.append(t)
+            states.append(y.copy())
     if last:
-        return float(t), y
-    return Trajectory(times=times, states=states)
+        return float(t), np.array(y)
+    return Trajectory(times=np.array(times, dtype=float), states=np.array(states, dtype=float))

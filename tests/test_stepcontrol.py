@@ -460,7 +460,8 @@ def injecting_kernel(step=None, position=0, value=math.nan) -> StepKernel:
 
 def test_both_drivers_accept_a_kernel_that_returns_lists():
     # the drivers coerce what a kernel returns; a kernel that hands back
-    # lists gives the same run as the array kernel it wraps
+    # lists gives the same run as the array kernel it wraps, and float arrays
+    # at the API boundary
     dopri5 = kernel("DOPRI5")
 
     def step_fn(f, t, y, h, reuse=None):
@@ -476,8 +477,10 @@ def test_both_drivers_accept_a_kernel_that_returns_lists():
         want, got = run(dopri5), run(lists)
         assert want.times.tobytes() == got.times.tobytes()
         assert want.states.tobytes() == got.states.tobytes()
+        assert got.states.dtype == np.float64 and got.states.shape[1:] == (2,)
         (t_want, y_want), (t_got, y_got) = run(dopri5, last=True), run(lists, last=True)
-        assert t_want == t_got and np.asarray(y_got).tobytes() == y_want.tobytes()
+        assert type(y_got) is np.ndarray and y_got.dtype == np.float64 and y_got.shape == (2,)
+        assert t_want == t_got and y_got.tobytes() == y_want.tobytes()
 
 
 def test_problem_dimension_must_match_initial_state():
