@@ -45,7 +45,7 @@ _PLACEHOLDERS = frozenset({
 # drivers and its coefficient constants; a driver of the same name would
 # shadow it.
 _MODULE_NAMES = frozenset({
-    "np", "WIDE_N", "StepKernel", "Tolerances", "adaptive_integrate", "fixed_integrate",
+    "np", "StepKernel", "Tolerances", "adaptive_integrate", "fixed_integrate",
     "integrate_info", "step_on_arrays", "_ARRAYS", "_step", "KERNEL", "range", "type",
     "list", "len",
 })
@@ -117,7 +117,7 @@ def _increment(names) -> str | None:
 
 def _stage_lines(a, c) -> str:
     """Unrolled stage evaluations on float lists, one line per stage after
-    the first (the float side of stepcontrol.WIDE_N)."""
+    the first (_step's list body)."""
     lines = []
     for i in range(1, len(a)):
         time = f"t + {c[i]} * h" if c[i] else "t"

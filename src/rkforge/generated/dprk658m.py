@@ -8,7 +8,6 @@ editing by hand.
 import numpy as np
 
 from rkforge.stepcontrol import (
-    WIDE_N,
     StepKernel,
     Tolerances,
     adaptive_integrate,
@@ -85,13 +84,11 @@ _ARRAYS = (
 
 def _step(f, t, y, h, reuse=None):
     """One embedded step from (t, y); returns the main and companion updates
-    as the kind of y, a float array or a list of floats (StepKernel).
+    as the kind of y, a list of floats or a float array (StepKernel).
 
-    This body takes a list of up to WIDE_N floats and an f that takes such
-    lists and returns N floats; step_on_arrays takes any other y.  WIDE_N
-    and ``reuse`` are described in rkforge.stepcontrol.
+    This body takes a list, step_on_arrays an array.
     """
-    if type(y) is not list or len(y) > WIDE_N:
+    if type(y) is not list:
         return step_on_arrays(_step, _ARRAYS, f, t, y, h, reuse)
     r = range(len(y))
     k1 = f(t, y) if reuse is None or reuse[0] is None else reuse[0]

@@ -17,14 +17,12 @@ t_stop whenever h = t_stop - t, whatever t + h rounds to.  An attempt below
 h_min = 1e4 * eps * max(|t_start|, |t_stop|, 1) that would end before
 t_stop raises StepSizeUnderflow instead (ArgumentError if it is the first).
 
-Four places split at WIDE_N components, because numpy's per-operation
-dispatch outweighs the arithmetic on small systems: up to WIDE_N they work
-on plain Python floats, above it on arrays.  They are the drivers' state,
-a list of floats from the entry check to the API boundary, where it becomes
-a float array again; a generated _step, which takes that list and returns
-lists, and hands wider systems to array_step; error_norm, which sums in
-numpy's pairwise order so that E has the bits of the array formula on both
-sides; and fixed_integrate's finiteness check.
+Up to WIDE_N components the drivers carry the state as a list of floats,
+because numpy's per-operation dispatch outweighs the arithmetic on small
+systems, and above it as a float array; at the API boundary it is a float
+array again.  The rest follows the kind of the state (StepKernel's kind
+rule).  WIDE_N is read in two more places: step_on_arrays, and the cap on
+error_norm's float loop.
 
 Generated solver modules run the same driver loop, so the control
 arithmetic has a single home.
@@ -172,12 +170,12 @@ class StepKernel:
 
     Both the generic interpreter kernel and every generated specialized
     kernel satisfy this contract: y is a float array of shape (N,), and f
-    takes and returns such arrays.  A step marked ``step.lists = True``, as
-    every generated _step is, returns the kind of y it was given: given a
-    list of N floats, it calls f with lists and returns two lists.  The
-    drivers hand such a step their state as is (module docstring), any other
-    a float array; its results must be N floats, else a ValueError names
-    their shape.
+    takes and returns such arrays.  The kind rule: a step marked
+    ``step.lists = True``, as every generated _step is, returns the kind of
+    y it was given, whatever N; given a list of N floats, it calls f with
+    lists and returns two lists.  The drivers hand such a step their state
+    as is (module docstring), any other a float array; its results must be
+    N floats, else a ValueError names their shape.
 
     Without ``reuse`` a step evaluates every stage.  The drivers pass one
     two-slot list per run instead: on entry reuse[0] is k1 = f(t, y) or
@@ -294,17 +292,14 @@ def array_step(coefficients, f, t_m: float, y_m: np.ndarray, h: float, reuse=Non
 
 
 def step_on_arrays(list_step, coefficients, f, t_m: float, y_m, h: float, reuse=None):
-    """A generated _step on what its list body does not take, which is a
-    float array or a list longer than WIDE_N; returns the kind of y_m.
+    """A generated _step given a float array y_m (StepKernel's kind rule);
+    returns two float arrays.
 
     Above WIDE_N it runs array_step on ``coefficients``, and f gets float
     arrays.  Up to WIDE_N it runs ``list_step`` on y_m.tolist(): an f marked
     list_rhs (the drivers' rhs for such a problem) gets the stage lists, any
     other f float arrays, k1 getting y_m itself.
     """
-    if type(y_m) is list:
-        y_m = np.array(y_m, dtype=float)
-        return [v.tolist() for v in array_step(coefficients, f, t_m, y_m, h, reuse)[:2]]
     if y_m.shape[0] > WIDE_N:
         return array_step(coefficients, f, t_m, y_m, h, reuse)[:2]
     y = y_m.tolist()
@@ -342,37 +337,35 @@ def error_norm(y, y_hat, tol: Tolerances) -> float:
     non-finite difference forces E = +inf.  A zero scale (possible only
     with a_tol = 0) contributes 0 when the difference is zero too, and forces
     E = +inf otherwise, so the step gets rejected rather than silently
-    accepted.  Both sides of WIDE_N give the same bits (module docstring).
+    accepted.
 
-    Above WIDE_N it works in place on two arrays of its own.  A non-finite
-    difference or an overflowing square makes the pairwise sum non-finite,
-    which maps to E = +inf, so no separate finiteness pass is needed.
+    It splits by kind like a step (StepKernel): lists of up to WIDE_N floats
+    take a float loop in numpy's pairwise order, anything else works in place
+    on two arrays of its own; both give the same bits.  A non-finite
+    difference or an overflowing square makes the sum non-finite, so E = +inf.
     """
     if not (type(y) is list and type(y_hat) is list and 0 < len(y) == len(y_hat) <= WIDE_N):
         y = np.asarray(y, dtype=float)
         y_hat = np.asarray(y_hat, dtype=float)
         if y.shape != y_hat.shape or y.ndim != 1 or y.size == 0:
             raise ValueError("y and y_hat must be equal-length nonempty vectors")
-        n = y.shape[0]
-        if n > WIDE_N:
-            sc = np.abs(y)
-            q = np.abs(y_hat)
-            np.maximum(sc, q, out=sc)
-            sc *= tol.r_tol
-            sc += tol.a_tol
-            np.subtract(y, y_hat, out=q)
-            if tol.a_tol == 0.0:
-                zero_scale = sc == 0.0
-                if zero_scale.any():
-                    if q[zero_scale].any():
-                        return math.inf
-                    sc[zero_scale] = 1.0
-            q /= sc
-            q *= q
-            # np.mean's own sum and division, without its overhead
-            s = float(np.add.reduce(q)) / n
-            return math.sqrt(s) if math.isfinite(s) else math.inf
-        y, y_hat = y.tolist(), y_hat.tolist()
+        sc = np.abs(y)
+        q = np.abs(y_hat)
+        np.maximum(sc, q, out=sc)
+        sc *= tol.r_tol
+        sc += tol.a_tol
+        np.subtract(y, y_hat, out=q)
+        if tol.a_tol == 0.0:
+            zero_scale = sc == 0.0
+            if zero_scale.any():
+                if q[zero_scale].any():
+                    return math.inf
+                sc[zero_scale] = 1.0
+        q /= sc
+        q *= q
+        # np.mean's own sum and division, without its overhead
+        s = float(np.add.reduce(q)) / y.shape[0]
+        return math.sqrt(s) if math.isfinite(s) else math.inf
     a_tol, r_tol = tol.a_tol, tol.r_tol
     q = []
     try:
@@ -502,7 +495,7 @@ def _driver_state(kernel: StepKernel, y: np.ndarray):
             if v.shape != (n,):
                 raise ValueError(f"kernel {kernel.name!r} returned shape {v.shape}, "
                                  f"expected ({n},)")
-        return out if n > WIDE_N else [v.tolist() for v in out]
+        return out if type(y) is not list else [v.tolist() for v in out]
 
     return adapted, state
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rkforge
-from rkforge import shipped_methods
+from rkforge import shipped_methods, stepcontrol
 from rkforge.codegen import (
     _MODULE_NAMES,
     TemplateError,
@@ -24,6 +24,7 @@ from rkforge.stepcontrol import (
     ODEProblem,
     Tolerances,
     adaptive_integrate,
+    array_step,
     erk_step_generic,
     interpreted_kernel,
 )
@@ -257,16 +258,28 @@ class TestVariantConsistency:
 
 
 class TestDimensionSwitch:
-    """Above WIDE_N every generated _step hands the system to the shared array
-    kernel, so it agrees with the interpreter bit for bit."""
+    """Given an array above WIDE_N, every generated _step hands the system to
+    the shared array kernel, so it agrees with the interpreter bit for bit."""
 
     @staticmethod
-    def both_bodies(monkeypatch, mod, call):
-        results = []
-        for wide_n in (sys.maxsize, 0):  # float-list body, then array kernel
-            monkeypatch.setattr(mod, "WIDE_N", wide_n)
+    def both_bodies(monkeypatch, call):
+        """call() with stepcontrol.WIDE_N above N, which runs the float-list
+        body, then at 0, which runs array_step; returns the two results and
+        the number of array_step calls in each run."""
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return array_step(*args)
+
+        monkeypatch.setattr(stepcontrol, "array_step", spy)
+        results, counts = [], []
+        for wide_n in (sys.maxsize, 0):
+            monkeypatch.setattr(stepcontrol, "WIDE_N", wide_n)
+            calls.clear()
             results.append(call())
-        return results
+            counts.append(len(calls))
+        return results, counts
 
     @pytest.mark.parametrize("name", sorted(METHODS))
     def test_bodies_bit_identical(self, name):
@@ -300,15 +313,20 @@ class TestDimensionSwitch:
         def fresh(t, yy):
             return yy * np.cos(t + yy)
 
-        expected = self.both_bodies(monkeypatch, mod, lambda: mod._step(fresh, 0.3, y, 0.05))
-        got = self.both_bodies(monkeypatch, mod, lambda: mod._step(in_place, 0.3, y, 0.05))
+        expected, counts = self.both_bodies(monkeypatch, lambda: mod._step(fresh, 0.3, y, 0.05))
+        assert counts == [0, 1], name
+        got, counts = self.both_bodies(monkeypatch, lambda: mod._step(in_place, 0.3, y, 0.05))
+        assert counts == [0, 1], name
         for body_expected, body_got in zip(expected, got):
             assert all(np.array_equal(e, g) for e, g in zip(body_expected, body_got)), name
         # a stage the driver carries to the next attempt is a copy, which the
         # next rhs call cannot overwrite
-        runs = [self.both_bodies(monkeypatch, mod, lambda: adaptive_integrate(
-                    mod.KERNEL, rhs, Tolerances(1e-8, 1e-8), y, 0.3, 2.0))
-                for rhs in (fresh, in_place)]
+        runs = []
+        for rhs in (fresh, in_place):
+            trajectories, counts = self.both_bodies(monkeypatch, lambda: adaptive_integrate(
+                mod.KERNEL, rhs, Tolerances(1e-8, 1e-8), y, 0.3, 2.0))
+            assert counts[0] == 0 and counts[1] > 0, name
+            runs.append(trajectories)
         for body_expected, body_got in zip(*runs):
             assert np.array_equal(body_expected.times, body_got.times), name
             assert np.array_equal(body_expected.states, body_got.states), name

@@ -1,7 +1,8 @@
-"""Properties of stepcontrol.error_norm on both sides of WIDE_N.
+"""Properties of stepcontrol.error_norm on both of its paths.
 
-Up to WIDE_N components error_norm runs on plain floats, above it on arrays;
-each property is drawn on both paths.
+A list of up to WIDE_N floats takes the float loop, anything else the array
+path.  Each property is drawn on both sides of WIDE_N and checked on the
+arrays and on the same values as lists.
 """
 import math
 
@@ -29,6 +30,11 @@ def vectors(n):
     return st.lists(FINITE, min_size=n, max_size=n).map(np.array)
 
 
+def norms(y, y_hat, tol):
+    """error_norm on the arrays and on the same values as lists."""
+    return [error_norm(y, y_hat, tol), error_norm(y.tolist(), y_hat.tolist(), tol)]
+
+
 @st.composite
 def pairs(draw):
     n = draw(SIZES)
@@ -42,7 +48,7 @@ def test_inf_for_nonfinite_difference(pair, tol, data):
     which = y if data.draw(st.booleans()) else y_hat
     which[data.draw(st.integers(0, y.size - 1))] = data.draw(
         st.sampled_from([math.inf, -math.inf, math.nan]))
-    assert error_norm(y, y_hat, tol) == math.inf
+    assert norms(y, y_hat, tol) == [math.inf] * 2
 
 
 @PROPERTY
@@ -53,16 +59,17 @@ def test_inf_for_nonzero_difference_at_zero_scale(pair, r_tol, data):
     k = data.draw(st.integers(0, y.size - 1))
     y[k], y_hat[k] = 0.0, data.draw(st.sampled_from([1, -1])) * data.draw(
         st.integers(1, 400)) * 5e-324
-    assert error_norm(y, y_hat, Tolerances(0.0, r_tol)) == math.inf
+    assert norms(y, y_hat, Tolerances(0.0, r_tol)) == [math.inf] * 2
 
 
 @PROPERTY
 @given(SIZES.flatmap(vectors), TOLERANCES)
 def test_zero_when_equal(y, tol):
-    assert error_norm(y, y.copy(), tol) == 0.0
+    assert norms(y, y.copy(), tol) == [0.0] * 2
 
 
 @PROPERTY
 @given(pairs(), TOLERANCES)
 def test_nonnegative(pair, tol):
-    assert error_norm(*pair, tol) >= 0.0
+    e, e_list = norms(*pair, tol)
+    assert e >= 0.0 and e_list == e

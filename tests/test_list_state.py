@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rkforge import shipped_methods
+from rkforge import shipped_methods, stepcontrol
 from rkforge.generated import METHODS
 from rkforge.problems import PROBLEM_NAMES, benchmark_case
 from rkforge.stepcontrol import (
@@ -28,7 +28,6 @@ from rkforge.stepcontrol import (
     Tolerances,
     _entry_check,
     adaptive_integrate,
-    array_step,
     error_norm,
     fixed_integrate,
     interpreted_kernel,
@@ -99,14 +98,18 @@ def test_a_list_in_gives_lists_with_the_bits_of_the_array_call(name, n, list_rhs
 
 
 @pytest.mark.parametrize("name", sorted(METHODS))
-def test_a_list_longer_than_wide_n_takes_the_array_body(name):
+def test_a_list_longer_than_wide_n_runs_the_list_body(monkeypatch, name):
+    # the kind of y alone picks the body, so a list of any length runs the
+    # list body; it has the bits of the array call that runs that body too
     n = WIDE_N + 1
     rhs, y = list_system(n)
+    step = METHODS[name]._step
     f, _ = _entry_check(ODEProblem(n, rhs, list_rhs=True), y, 0.3, 0.35, 0.05)
-    got = METHODS[name]._step(f, 0.3, y.tolist(), 0.05)
-    assert rhs.kinds == {np.ndarray}
-    want = array_step(METHODS[name]._ARRAYS, f, 0.3, y, 0.05)[:2]
+    got = step(f, 0.3, y.tolist(), 0.05)
+    assert rhs.kinds == {list}
     assert [type(v) for v in got] == [list, list]
+    monkeypatch.setattr(stepcontrol, "WIDE_N", n)
+    want = step(f, 0.3, y, 0.05)
     assert [np.array(v).tobytes() for v in got] == [v.tobytes() for v in want]
 
 

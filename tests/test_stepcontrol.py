@@ -135,9 +135,9 @@ class TestErrorNorm:
 
     @pytest.mark.parametrize("n", range(1, WIDE_N + 2))
     def test_bit_identical_to_array_formula(self, n):
-        # up to WIDE_N error_norm sums plain floats in numpy's pairwise order;
-        # a plain running sum from 8 components on differs in the last bits.
-        # n = WIDE_N + 1 runs the array path.
+        # arrays take the array path; lists of up to WIDE_N floats the float
+        # loop, which sums in numpy's pairwise order (a plain running sum
+        # from 8 components on differs in the last bits)
         seed = zlib.crc32(f"error_norm {n}".encode())
         rng = np.random.default_rng(seed)
         kinds = ("mixed", "r_tol = 0", "zero scale", "nonfinite")
@@ -163,6 +163,8 @@ class TestErrorNorm:
             tol = Tolerances(a_tol, r_tol)
             got = error_norm(y, y_hat, tol)
             assert got == self.array_formula(y, y_hat, tol), (seed, trial, kind)
+            if n <= WIDE_N:
+                assert error_norm(y.tolist(), y_hat.tolist(), tol) == got, (seed, trial, kind)
             finite += math.isfinite(got)
         # the inf cases are a minority: most compare two finite sums
         assert finite >= 200
