@@ -19,11 +19,11 @@ N = 40 linear system.  The solve group covers the 9 methods x the six
 problems and an unknown one x trajectory, last, steplog, fixed-step and a
 --max-steps 30 failure.  The direct group covers the 9 methods' _step over
 two steps, its results and reuse slots: on arrays of N = 1, 2, WIDE_N,
-WIDE_N + 1 and 40, once with a bare array rhs and once with the drivers'
-rhs of a list_rhs problem, and on lists of N = 1 to WIDE_N with the drivers'
-rhs of a list_rhs and of an array-rhs problem.  It also covers error_norm
-on seeded arrays and the same values as lists, N = 1 to WIDE_N + 1, with
-NaN, inf and zero-scale inputs.  It takes a minute or two.
+WIDE_N + 1 and 40 with a bare array rhs, and on those arrays and on lists
+of N = 1 to WIDE_N with the drivers' rhs of a list_rhs and of an array-rhs
+problem.  It also covers error_norm on seeded arrays and the same values as
+lists, N = 1 to WIDE_N + 1, with NaN, inf and zero-scale inputs.  It takes
+a minute or two.
 """
 import contextlib
 import hashlib
@@ -149,7 +149,8 @@ def direct_hash():
             rhs, y_0 = seeded_system(n)
             drivers_f, _ = _entry_check(ODEProblem(n, rhs, list_rhs=True), y_0, 0.0, 1.0, 0.1)
             array_f, _ = _entry_check(ODEProblem(n, rhs), y_0, 0.0, 1.0, 0.1)
-            runs = [("array bare", rhs, y_0), ("array list_rhs", drivers_f, y_0)]
+            runs = [("array bare", rhs, y_0), ("array list_rhs", drivers_f, y_0),
+                    ("array array-rhs", array_f, y_0)]
             if n <= WIDE_N:
                 runs += [("list list_rhs", drivers_f, y_0.tolist()),
                          ("list array-rhs", array_f, y_0.tolist())]

@@ -21,8 +21,7 @@ Up to WIDE_N components the drivers carry the state as a list of floats,
 because numpy's per-operation dispatch outweighs the arithmetic on small
 systems, and above it as a float array; at the API boundary it is a float
 array again.  The rest follows the kind of the state (StepKernel's kind
-rule).  WIDE_N is read in two more places: step_on_arrays, and the cap on
-error_norm's float loop.
+rule).  WIDE_N is read in one more place, step_on_arrays.
 
 Generated solver modules run the same driver loop, so the control
 arithmetic has a single home.
@@ -79,15 +78,15 @@ def _is_real(x) -> bool:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Absolute and relative tolerance; at least one must be positive."""
+    """Absolute and relative tolerance, finite; at least one must be positive."""
 
     a_tol: float
     r_tol: float
 
     def __post_init__(self):
         if not (_is_real(self.a_tol) and _is_real(self.r_tol)
-                and self.a_tol >= 0 and self.r_tol >= 0):
-            raise ArgumentError(f"tolerances must be nonnegative numbers, "
+                and 0 <= self.a_tol < math.inf and 0 <= self.r_tol < math.inf):
+            raise ArgumentError(f"tolerances must be nonnegative numbers and finite, "
                                 f"got {self.a_tol!r} and {self.r_tol!r}")
         if self.a_tol + self.r_tol == 0:
             raise ArgumentError("a_tol and r_tol cannot both be zero")
@@ -135,8 +134,10 @@ class ODEProblem:
     By default rhs takes a float array.  ``list_rhs=True`` says that rhs
     also takes a list of N floats and then returns N floats, fastest as a
     list; given an array it must still return an array-like.  Up to WIDE_N
-    the drivers then pass it their stage lists.  The shipped problems opt
-    in, and dataclasses.replace(case.problem, rhs=...) keeps the form.
+    the drivers then pass it their stage lists; any other rhs gets arrays
+    from the drivers' f, which takes lists (_entry_check).  The shipped
+    problems opt in, and dataclasses.replace(case.problem, rhs=...) keeps
+    the form.
     """
 
     dimension: int
@@ -170,12 +171,13 @@ class StepKernel:
 
     Both the generic interpreter kernel and every generated specialized
     kernel satisfy this contract: y is a float array of shape (N,), and f
-    takes and returns such arrays.  The kind rule: a step marked
-    ``step.lists = True``, as every generated _step is, returns the kind of
-    y it was given, whatever N; given a list of N floats, it calls f with
-    lists and returns two lists.  The drivers hand such a step their state
-    as is (module docstring), any other a float array; its results must be
-    N floats, else a ValueError names their shape.
+    takes and returns such arrays.  The kind rule, with its one mark
+    ``lists = True``: a marked step, as every generated _step is, returns
+    the kind of y it was given, whatever N; given a list of N floats, it
+    calls f with lists and returns two lists.  A marked f, as the drivers'
+    is, likewise takes and returns either kind.  The drivers hand a marked
+    step their state as is (module docstring), any other a float array; its
+    results must be N floats, else a ValueError names their shape.
 
     Without ``reuse`` a step evaluates every stage.  The drivers pass one
     two-slot list per run instead: on entry reuse[0] is k1 = f(t, y) or
@@ -297,13 +299,13 @@ def step_on_arrays(list_step, coefficients, f, t_m: float, y_m, h: float, reuse=
 
     Above WIDE_N it runs array_step on ``coefficients``, and f gets float
     arrays.  Up to WIDE_N it runs ``list_step`` on y_m.tolist(): an f marked
-    list_rhs (the drivers' rhs for such a problem) gets the stage lists, any
-    other f float arrays, k1 getting y_m itself.
+    lists (StepKernel), as the drivers' is, gets the stage lists, an
+    unmarked one float arrays, k1 getting y_m itself.
     """
     if y_m.shape[0] > WIDE_N:
         return array_step(coefficients, f, t_m, y_m, h, reuse)[:2]
     y = y_m.tolist()
-    if not getattr(f, "list_rhs", False):
+    if not getattr(f, "lists", False):
         rhs = f
 
         def f(t, y_i):
@@ -339,12 +341,14 @@ def error_norm(y, y_hat, tol: Tolerances) -> float:
     E = +inf otherwise, so the step gets rejected rather than silently
     accepted.
 
-    It splits by kind like a step (StepKernel): lists of up to WIDE_N floats
-    take a float loop in numpy's pairwise order, anything else works in place
-    on two arrays of its own; both give the same bits.  A non-finite
-    difference or an overflowing square makes the sum non-finite, so E = +inf.
+    Lists of fewer than 8 floats take a float loop that sums in order,
+    anything else works in place on two arrays of its own; both give the
+    same bits.  A non-finite difference or an overflowing square makes the
+    sum non-finite, so E = +inf; on the array path numpy may also issue a
+    RuntimeWarning for it.
     """
-    if not (type(y) is list and type(y_hat) is list and 0 < len(y) == len(y_hat) <= WIDE_N):
+    # numpy sums fewer than 8 terms (its pairwise block) one by one, in order
+    if not (type(y) is list and type(y_hat) is list and 0 < len(y) == len(y_hat) < 8):
         y = np.asarray(y, dtype=float)
         y_hat = np.asarray(y_hat, dtype=float)
         if y.shape != y_hat.shape or y.ndim != 1 or y.size == 0:
@@ -367,7 +371,7 @@ def error_norm(y, y_hat, tol: Tolerances) -> float:
         s = float(np.add.reduce(q)) / y.shape[0]
         return math.sqrt(s) if math.isfinite(s) else math.inf
     a_tol, r_tol = tol.a_tol, tol.r_tol
-    q = []
+    s = 0.0  # with += and not sum(), which compensates from Python 3.12 on
     try:
         for u, v in zip(y, y_hat):
             d = u - v
@@ -375,36 +379,14 @@ def error_norm(y, y_hat, tol: Tolerances) -> float:
                 return math.inf
             au, av = abs(u), abs(v)
             sc = a_tol + (au if au >= av else av) * r_tol
-            if sc == 0.0:
-                if d != 0.0:
-                    return math.inf
-                q.append(0.0)
-            else:
+            if sc != 0.0:
                 d /= sc
-                q.append(d * d)
+                s += d * d
+            elif d != 0.0:  # a zero difference at zero scale adds +0.0
+                return math.inf
     except TypeError:  # an entry that is not a number, such as a nested list
         raise ValueError("y and y_hat must be equal-length nonempty vectors") from None
-    return math.sqrt(_pairwise_sum(q) / len(q))
-
-
-def _pairwise_sum(q: list) -> float:
-    """Sum of at most 128 floats in the order of numpy's pairwise summation:
-    eight lanes over the full blocks of 8 terms, then the rest one by one.
-    Written with += and not sum(), which compensates from Python 3.12 on.
-    """
-    n = len(q)
-    full = n - n % 8
-    s = 0.0
-    if full:
-        r = q[:8]
-        for i in range(8, full, 8):
-            for j in range(8):
-                r[j] += q[i + j]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        q = q[full:]
-    for x in q:
-        s += x
-    return s
+    return math.sqrt(s / len(y))
 
 
 def propose_step_size(h_m: float, e_m: float, e_prev: float,
@@ -436,9 +418,10 @@ def _entry_check(prob, y_0, t_start: float, t_stop: float, h: float):
     bare rhs callable.  Returns (f, y): prob's rhs wrapped, and y_0 as a
     float array of its own.  f returns the kind of y it was given, a float
     array or a list of N floats, checked to have shape (N,); a wrong shape
-    can show mid-run, so f raises a plain ValueError for it.  f carries
-    prob.list_rhs as list_rhs.  For such a problem it hands a list to rhs as
-    is, and returns a list result of length N as is, checking nothing else.
+    can show mid-run, so f raises a plain ValueError for it.  f carries the
+    mark lists (StepKernel).  Given a list, it hands rhs an array of it,
+    unless prob.list_rhs; then it hands rhs the list as is, and returns a
+    list result of length N as is, checking nothing else.
     """
     y = np.array(y_0, dtype=float)
     prob = prob if isinstance(prob, ODEProblem) else ODEProblem(len(y), prob)
@@ -452,12 +435,12 @@ def _entry_check(prob, y_0, t_start: float, t_stop: float, h: float):
         raise ArgumentError("initial state must be finite")
     if not h > 0:
         raise ArgumentError(f"step size must be positive, got {h!r}")
-    rhs, lists = prob.rhs, prob.list_rhs
+    rhs, list_rhs = prob.rhs, prob.list_rhs
 
     def f(t, y):
         if type(y) is not list:
             out = rhs(t, y)
-        elif lists:
+        elif list_rhs:
             try:
                 out = rhs(t, y)
             except TypeError as exc:
@@ -472,7 +455,7 @@ def _entry_check(prob, y_0, t_start: float, t_stop: float, h: float):
             raise ValueError(f"rhs returned shape {out.shape}, expected ({n},)")
         return out if type(y) is not list else out.tolist()
 
-    f.list_rhs = lists
+    f.lists = True
     return f, y
 
 

@@ -305,12 +305,15 @@ class TestSolve:
         (*SOLVE_VDP, "--atol=-1e-6", "--rtol", "1e-6"),
         (*SOLVE_VDP, "--atol", "0", "--rtol", "0"),
         (*SOLVE_VDP, "--atol", "nan", "--rtol", "1e-6"),
+        (*SOLVE_VDP, "--atol", "inf", "--rtol", "0"),
+        (*SOLVE_VDP, "--atol", "1e-6", "--rtol", "inf"),
         (*SOLVE_VDP, "--atol", "1e-6", "--rtol", "1e-6", "--t0", "5", "--t1", "1"),
         (*SOLVE_VDP, "--atol", "1e-6", "--rtol", "1e-6", "--h0", "0"),
         (*SOLVE_VDP, "--h", "-0.1"),
         (*SOLVE_VDP, "--h", "0.1", "--t0", "1", "--t1", "1"),
         ("report", "--kind", "arenstorf-table", "--atol", "-1"),
         ("report", "--kind", "arenstorf-table", "--atol", "nan"),
+        ("report", "--kind", "arenstorf-table", "--rtol", "inf"),
         ("bench", "--steps", "0"),
         ("bench", "--steps", "-3"),
         ("solve", "--problem", "vdp", "--atol", "1e-6", "--rtol", "1e-6"),

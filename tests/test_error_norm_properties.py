@@ -1,8 +1,8 @@
 """Properties of stepcontrol.error_norm on both of its paths.
 
-A list of up to WIDE_N floats takes the float loop, anything else the array
-path.  Each property is drawn on both sides of WIDE_N and checked on the
-arrays and on the same values as lists.
+A list of fewer than 8 floats takes the float loop, anything else the
+array path.  Each property is drawn on both sides of WIDE_N and checked on
+the arrays and on the same values as lists.
 """
 import math
 

@@ -170,7 +170,7 @@ def test_direct_step_with_an_array_f_is_unchanged(name, n):
     assert len(inputs) == TABLEAUS[name].s
 
     marked, _ = _entry_check(ODEProblem(n, rhs, list_rhs=True), y, 0.3, 0.35, 0.05)
-    assert marked.list_rhs
+    assert marked.lists
     rhs.kinds.clear()
     marked_reuse = [None, None]
     got = step(marked, 0.3, y, 0.05, marked_reuse)
@@ -180,6 +180,40 @@ def test_direct_step_with_an_array_f_is_unchanged(name, n):
     assert [type(v) for v in marked_reuse] == [type(v) for v in reuse]
     assert [None if v is None else np.asarray(v).tobytes() for v in marked_reuse] == \
         [None if v is None else np.asarray(v).tobytes() for v in reuse]
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+@pytest.mark.parametrize("n", [1, 2, WIDE_N])
+def test_direct_step_hands_the_drivers_f_of_an_array_rhs_lists(name, n):
+    # the drivers' f carries the one mark, lists, for every problem, so a
+    # _step given an array hands it the stage lists; the array rhs behind it
+    # still gets float arrays, and two steps keep the bare call's bits
+    rhs, y_0 = list_system(n)
+    f, _ = _entry_check(ODEProblem(n, rhs), y_0, 0.3, 0.4, 0.05)
+    seen = set()
+
+    def spy(t, y):
+        seen.add(type(y))
+        return f(t, y)
+
+    spy.lists = getattr(f, "lists", False)
+    step = METHODS[name]._step
+
+    def two_steps(g):
+        y, reuse, out = y_0, [None, None], []
+        for t in (0.3, 0.35):
+            y_next, y_hat_next = step(g, t, y, 0.05, reuse)
+            out += [type(v) for v in reuse]
+            out += [np.asarray(v).tobytes() for v in (y_next, y_hat_next, *reuse)
+                    if v is not None]
+            y, reuse[0] = y_next, reuse[1]
+        return out
+
+    want = two_steps(rhs)
+    rhs.kinds.clear()
+    assert two_steps(spy) == want
+    assert seen == {list}
+    assert rhs.kinds == {np.ndarray}
 
 
 def test_marked_f_returns_lists_as_is_and_anything_else_as_a_float_array():

@@ -206,6 +206,8 @@ def array_formula(y, y_hat, tol):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n", range(1, WIDE_N + 1))
 def test_error_norm_on_lists_has_the_bits_of_the_array_call(n):
+    # lists of fewer than 8 floats take the float loop, longer ones the
+    # array path
     for y, y_hat, tol in error_norm_inputs(n):
         want = np.float64(error_norm(y, y_hat, tol)).tobytes()
         assert np.float64(error_norm(y.tolist(), y_hat.tolist(), tol)).tobytes() == want

@@ -135,9 +135,10 @@ class TestErrorNorm:
 
     @pytest.mark.parametrize("n", range(1, WIDE_N + 2))
     def test_bit_identical_to_array_formula(self, n):
-        # arrays take the array path; lists of up to WIDE_N floats the float
-        # loop, which sums in numpy's pairwise order (a plain running sum
-        # from 8 components on differs in the last bits)
+        # arrays and lists of 8 floats or more take the array path; shorter
+        # lists the float loop, one running sum as numpy's below its pairwise
+        # block of 8 (from 8 components on the two orders differ in the last
+        # bits)
         seed = zlib.crc32(f"error_norm {n}".encode())
         rng = np.random.default_rng(seed)
         kinds = ("mixed", "r_tol = 0", "zero scale", "nonfinite")
@@ -529,6 +530,7 @@ def test_h0_must_be_a_real_number(h0):
 @pytest.mark.parametrize("a_tol, r_tol", [
     (True, 0.0), (0.0, True), (np.bool_(True), 0.0), ("1e-6", 1e-6), (1e-6, "1e-6"),
     (1e-6, None), (None, 1e-6), (1e-6, 1j), (math.nan, 1e-6),
+    (math.inf, 0.0), (0.0, math.inf), (1e-6, math.inf),
 ])
 def test_tolerances_must_be_real_numbers(a_tol, r_tol):
     with pytest.raises(ArgumentError, match="tolerances must be nonnegative numbers"):
