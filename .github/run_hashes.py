@@ -5,9 +5,13 @@ Usage: python .github/run_hashes.py   (from the root of the repo)
 Run it on two trees (say, a `git archive` of the parent commit and the
 change) and diff the outputs; equal lines mean equal bits.  The groups are
 
-  adaptive  trajectories, StepLogs, `last` points and the t, y and log of
-            a MaxStepsExceeded, from every adaptive driver;
-  fixed     fixed-step trajectories and `last` points;
+  adaptive  trajectories, StepLogs and `last` points from every adaptive
+            driver; the message, t, y and log of a MaxStepsExceeded and of
+            a StepSizeUnderflow, and the message of a first step refused
+            below h_min;
+  fixed     fixed-step trajectories and `last` points; the message, t and
+            y of a DivergenceError, and the message of a run refused for
+            taking more than max_steps steps;
   solve     `forge solve` stdout, stderr and exit code;
   direct    a generated _step and error_norm called directly, as criteria 3
             and 11 call a kernel.
@@ -15,15 +19,17 @@ change) and diff the outputs; equal lines mean equal bits.  The groups are
 The library groups cover the 9 shipped methods x their generated KERNEL and
 interpreted_kernel x the six benchmark problems, each as its list_rhs
 problem, as an array-rhs problem and as a bare callable, plus one seeded
-N = 40 linear system.  The solve group covers the 9 methods x the six
-problems and an unknown one x trajectory, last, steplog, fixed-step and a
---max-steps 30 failure.  The direct group covers the 9 methods' _step over
-two steps, its results and reuse slots: on arrays of N = 1, 2, WIDE_N,
-WIDE_N + 1 and 40 with a bare array rhs, and on those arrays and on lists
-of N = 1 to WIDE_N with the drivers' rhs of a list_rhs and of an array-rhs
-problem.  It also covers error_norm on seeded arrays and the same values as
-lists, N = 1 to WIDE_N + 1, with NaN, inf and zero-scale inputs.  It takes
-a minute or two.
+N = 40 linear system.  Each method and kernel also gives the errors: a
+StepSizeUnderflow from y' = -y turning NaN at t = 1, and a DivergenceError
+from y' = y^2 and y_0 = 1 at N = 1 and N = WIDE_N + 1.  The solve group
+covers the 9 methods x the six problems and an unknown one x trajectory,
+last, steplog, fixed-step and a --max-steps 30 failure.  The direct group
+covers the 9 methods' _step over two steps, its results and reuse slots: on
+arrays of N = 1, 2, WIDE_N, WIDE_N + 1 and 40 with a bare array rhs, and on
+those arrays and on lists of N = 1 to WIDE_N with the drivers' rhs of a
+list_rhs and of an array-rhs problem.  It also covers error_norm on seeded
+arrays and the same values as lists, N = 1 to WIDE_N + 1, with NaN, inf
+and zero-scale inputs.  It takes a minute or two.
 """
 import contextlib
 import hashlib
@@ -41,9 +47,12 @@ from rkforge.generated import METHODS  # noqa: E402
 from rkforge.problems import PROBLEM_NAMES, benchmark_case  # noqa: E402
 from rkforge.stepcontrol import (  # noqa: E402
     WIDE_N,
+    ArgumentError,
+    DivergenceError,
     IntegrationError,
     IntegrationOptions,
     ODEProblem,
+    StepSizeUnderflow,
     Tolerances,
     _entry_check,
     adaptive_integrate,
@@ -89,13 +98,61 @@ def library_hashes():
                     adaptive_integrate(kernel, prob, tol, y_0, 0.0, t_stop, last=True,
                                        options=IntegrationOptions(max_steps=7))
                 except IntegrationError as exc:
-                    feed(adaptive, exc.t, exc.y, exc.log.accepted_t, exc.log.errors)
+                    feed_error(adaptive, exc)
                 fixed.update(f"{t.name} {label}".encode())
                 traj = fixed_integrate(kernel, prob, t_stop / 200, y_0, 0.0, t_stop)
                 t_n, y_n = fixed_integrate(kernel, prob, t_stop / 200, y_0, 0.0, t_stop,
                                            last=True)
                 feed(fixed, traj.times, traj.states, t_n, y_n)
+            error_runs(adaptive, fixed, t.name, kernel, tol)
     return adaptive.hexdigest(), fixed.hexdigest()
+
+
+def feed_error(digest, exc):
+    """The kind, message, t and y of an IntegrationError, and its log if any."""
+    digest.update(f"{type(exc).__name__} {exc}".encode())
+    feed(digest, exc.t, exc.y)
+    if exc.log is not None:
+        log = exc.log
+        feed(digest, log.accepted_t, log.accepted_h, log.rejected_t, log.rejected_h,
+             log.errors)
+
+
+def feed_raised(digest, kind, run):
+    """Call run, which must raise ``kind``, and feed what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            run()
+    except kind as exc:
+        if isinstance(exc, IntegrationError):
+            feed_error(digest, exc)
+        else:
+            digest.update(f"{type(exc).__name__} {exc}".encode())
+        return
+    raise AssertionError(f"{run} raised no {kind.__name__}")
+
+
+def error_runs(adaptive, fixed, name, kernel, tol):
+    """Feed the errors of one method and kernel to the two digests."""
+    adaptive.update(f"{name} errors".encode())
+    fixed.update(f"{name} errors".encode())
+    one = np.array([1.0])
+
+    def turns_nan(t, y):
+        return -y if t < 1.0 else y * math.nan
+
+    feed_raised(adaptive, StepSizeUnderflow,
+                lambda: integrate_info(kernel, turns_nan, tol, one, 0.0, 2.0))
+    feed_raised(adaptive, ArgumentError,
+                lambda: adaptive_integrate(kernel, turns_nan, tol, one, 0.0, 2.0,
+                                           options=IntegrationOptions(h0=1e-300)))
+    for y_0 in (one, np.ones(WIDE_N + 1)):
+        for last in (False, True):
+            feed_raised(fixed, DivergenceError,
+                        lambda: fixed_integrate(kernel, lambda t, y: y * y, 0.5, y_0,
+                                                0.0, 10.0, last=last))
+    feed_raised(fixed, ArgumentError,
+                lambda: fixed_integrate(kernel, turns_nan, 1e-300, one, 0.0, 2.0))
 
 
 def seeded_system(n):

@@ -15,7 +15,8 @@ steps retry with h / min(f_max, E_m^a / f_s).  Each attempt uses
 h = min(h, t_stop - t); an accepted one ends at min(t + h, t_stop), and at
 t_stop whenever h = t_stop - t, whatever t + h rounds to.  An attempt below
 h_min = 1e4 * eps * max(|t_start|, |t_stop|, 1) that would end before
-t_stop raises StepSizeUnderflow instead (ArgumentError if it is the first).
+t_stop raises StepSizeUnderflow instead, and ArgumentError if it is the
+first; the floor applies to a fixed-step run's first step too.
 
 Up to WIDE_N components the drivers carry the state as a list of floats,
 because numpy's per-operation dispatch outweighs the arithmetic on small
@@ -23,8 +24,8 @@ systems, and above it as a float array; at the API boundary it is a float
 array again.  The rest follows the kind of the state (StepKernel's kind
 rule).  WIDE_N is read in one more place, step_on_arrays.
 
-Generated solver modules run the same driver loop, so the control
-arithmetic has a single home.
+Every driver, the generated modules' too, runs one loop, _drive, with one
+of two policies, adaptive or fixed-step: the control has a single home.
 """
 from __future__ import annotations
 
@@ -148,7 +149,7 @@ class ODEProblem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted grid points and states; times[0] = t_start, times[-1] = t_stop."""
+    """Accepted grid points and states; times strictly increase from t_start to t_stop."""
 
     times: np.ndarray
     states: np.ndarray
@@ -484,39 +485,68 @@ def _driver_state(kernel: StepKernel, y: np.ndarray):
 
 
 def _step_log(attempts) -> StepLog:
-    """The StepLog of _adaptive_loop's attempt records (t, h, E, accepted)."""
+    """The StepLog of _drive's attempt records (t, h, E, accepted)."""
     t, h, e, accepted = np.array(attempts, dtype=float).reshape(-1, 4).T
     accepted = accepted.astype(bool)
     rejected = ~accepted
     return StepLog(t[accepted], h[accepted], t[rejected], h[rejected], e[accepted])
 
 
-def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances,
-                   y_0, t_start: float, t_stop: float,
-                   options: IntegrationOptions | None,
-                   record_states: bool):
-    """The adaptive loop behind every adaptive driver.
+def _h_min(h: float, t_start: float, t_stop: float) -> float:
+    """The step floor of both policies, h_min (module docstring); a first
+    step of min(h, t_stop - t_start) below it raises ArgumentError."""
+    h_min = 1e4 * np.finfo(float).eps * max(abs(t_start), abs(t_stop), 1.0)
+    h = min(h, t_stop - t_start)
+    if h < h_min and t_start + h < t_stop:
+        raise ArgumentError(f"initial step size {h} is below h_min = {h_min}")
+    return h_min
 
-    Returns (t_n, y_n, states, attempts), y_n and states in the kind of the
-    drivers' state.  states lists y_0 and the state at each accepted point
-    when ``record_states`` and is None otherwise.
-    attempts holds one record (t, h, E, accepted) per attempt, t being the
-    time after it; _step_log builds every StepLog and grid from them.
-    """
+
+def _drive(step, f, y, t_start: float, t_stop: float, plan, judge, last):
+    """The one driver loop: while t < t_stop, plan(t, y, attempts) gives
+    (h, t_next) and judge(t, y, y_next, y_hat_next, h) gives E, and E <= 1
+    moves to (t_next, y_next); either may raise.  It owns the reuse hand-over,
+    the attempt records (t after it, h, E, accepted), the accepted times and
+    states, and the result: (t_n, y_n) when ``last``, the StepLog when it is
+    StepLog, else the Trajectory."""
+    t = t_start
+    times, states = [t], [y.copy()]
+    attempts: list[tuple] = []
+    reuse = [None, None]
+    while t < t_stop:
+        h, t_next = plan(t, y, attempts)
+        y_next, y_hat_next = step(f, t, y, h, reuse)
+        e = judge(t, y, y_next, y_hat_next, h)
+        accepted = e <= 1.0
+        if accepted:
+            # the last stage ran at t + h, which can round away from t_next
+            reuse[0] = reuse[1] if t + h == t_next else None
+            t, y = t_next, y_next
+            if not last:
+                times.append(t)
+                states.append(y.copy())
+        attempts.append((t, h, e, accepted))
+    if last is StepLog:
+        return _step_log(attempts)
+    if last:
+        return float(t), np.array(y)
+    return Trajectory(times=np.array(times, dtype=float), states=np.array(states, dtype=float))
+
+
+def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances, y_0, t_start: float,
+                   t_stop: float, options: IntegrationOptions | None, last):
+    """The adaptive policy of _drive, whose result it returns: plan refuses an
+    attempt past max_steps or below h_min and gives h = min(h, t_stop - t);
+    judge gives E by error_norm and updates h (module docstring)."""
     opts = options or IntegrationOptions()
     h = opts.h0 if opts.h0 is not None else (t_stop - t_start) / 100.0
     f, y = _entry_check(prob, y_0, t_start, t_stop, h)
     step, y = _driver_state(kernel, y)
     cp = ControllerParams.for_order(kernel.order)
-    h_min = 1e4 * np.finfo(float).eps * max(abs(t_start), abs(t_stop), 1.0)
-
-    t = t_start
+    h_min = _h_min(h, t_start, t_stop)
     e_prev = 1.0
-    states = [y.copy()] if record_states else None
-    attempts: list[tuple] = []
-    reuse = [None, None]
 
-    while t < t_stop:
+    def plan(t, y, attempts):
         if len(attempts) >= opts.max_steps:
             raise MaxStepsExceeded(
                 f"no convergence within {opts.max_steps} step attempts "
@@ -524,29 +554,23 @@ def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances,
                 t, y, _step_log(attempts))
         h_use = min(h, t_stop - t)
         if h_use < h_min and t + h_use < t_stop:
-            if not attempts:
-                raise ArgumentError(f"initial step size {h_use} is below h_min = {h_min}")
             raise StepSizeUnderflow(
                 f"step size underflow: h = {h_use} < h_min = {h_min} at t = {t} "
                 f"after {len(attempts)} step attempts", t, y, _step_log(attempts))
-        y_next, y_hat_next = step(f, t, y, h_use, reuse)
+        return h_use, t_stop if h_use >= t_stop - t else min(t + h_use, t_stop)
+
+    def judge(t, y, y_next, y_hat_next, h_use):
+        nonlocal h, e_prev
         # A non-finite trial has E = inf (error_norm), so it is retried smaller.
         e_m = error_norm(y_next, y_hat_next, tol)
-        accepted = e_m <= 1.0
-        if accepted:
-            t_last = t + h_use  # the time of the kernel's last stage
-            y = y_next
-            t = t_stop if h_use >= t_stop - t else min(t_last, t_stop)
-            reuse[0] = reuse[1] if t == t_last else None
-            if record_states:
-                states.append(y.copy())
+        if e_m <= 1.0:
             h = propose_step_size(h_use, e_m, e_prev, cp)
             e_prev = max(e_m, cp.e_prev_floor)
         else:
             h = rescale_rejected(h_use, e_m, cp)
-        attempts.append((t, h_use, e_m, accepted))
+        return e_m
 
-    return t, y, states, attempts
+    return _drive(step, f, y, t_start, t_stop, plan, judge, last)
 
 
 def adaptive_integrate(method: StepKernel, prob, tol: Tolerances, y_0,
@@ -556,33 +580,29 @@ def adaptive_integrate(method: StepKernel, prob, tol: Tolerances, y_0,
 
     ``method`` is any StepKernel; ``prob`` an ODEProblem or a bare rhs callable.
     """
-    t, y, states, attempts = _adaptive_loop(method, prob, tol, y_0, t_start, t_stop,
-                                            options, record_states=not last)
-    if last:
-        return float(t), np.array(y)
-    times = np.concatenate(([t_start], _step_log(attempts).accepted_t))
-    return Trajectory(times=times, states=np.array(states))
+    return _adaptive_loop(method, prob, tol, y_0, t_start, t_stop, options, last)
 
 
 def integrate_info(method: StepKernel, prob, tol: Tolerances, y_0,
                    t_start: float, t_stop: float,
                    options: IntegrationOptions | None = None) -> StepLog:
     """Adaptive integration returning the accepted/rejected step log."""
-    *_, attempts = _adaptive_loop(method, prob, tol, y_0, t_start, t_stop,
-                                  options, record_states=False)
-    return _step_log(attempts)
+    return _adaptive_loop(method, prob, tol, y_0, t_start, t_stop, options, StepLog)
 
 
 def fixed_integrate(method: StepKernel, prob, h: float, y_0,
                     t_start: float, t_stop: float, last: bool = False,
                     options: IntegrationOptions | None = None):
-    """Uniform steps of size h, final step truncated to land on t_stop.
+    """Uniform steps of size h, the last one snapped to t_stop.
 
     No error control; the embedded solution is computed but unused.  Of
-    ``options`` only max_steps applies: a run of more steps, or a set h0,
-    raises ArgumentError before the first rhs call.
-
-    A non-finite state raises DivergenceError (see IntegrationError).
+    ``options`` only max_steps applies: a run of more steps, a set h0, or
+    an h below h_min that does not reach t_stop in one step raises
+    ArgumentError before the first rhs call.  The fixed policy of _drive:
+    plan ends step m of n = max(1, ceil(span / h - 1e-9)) at t_start + m * h,
+    or at t_stop if m = n or that is past t_stop, and the run stops at t_stop,
+    so the times strictly increase; judge gives E = 0, or raises
+    DivergenceError for a non-finite state (see IntegrationError).
     """
     f, y = _entry_check(prob, y_0, t_start, t_stop, h)
     step, y = _driver_state(method, y)
@@ -595,26 +615,18 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
         raise ArgumentError(f"step size {h!r} takes more than max_steps = {max_steps} "
                             f"steps over [{t_start!r}, {t_stop!r}]")
     n_steps = max(1, math.ceil(span_steps))
-    t = t_start
-    times, states = [t], [y.copy()]
-    reuse = [None, None]
+    if n_steps > 1:  # a single step ends at t_stop, whatever its h
+        _h_min(h, t_start, t_stop)
     wide = type(y) is not list
-    for m in range(n_steps):
-        t_next = t_start + (m + 1) * h
-        if m == n_steps - 1 or t_next > t_stop:
-            t_next = t_stop
-        h_m = t_next - t
-        y_next, _ = step(f, t, y, h_m, reuse)
+
+    def plan(t, y, attempts):
+        m = len(attempts) + 1
+        t_next = t_stop if m == n_steps else min(t_start + m * h, t_stop)
+        return t_next - t, t_next
+
+    def judge(t, y, y_next, y_hat_next, h):
         if not (np.isfinite(y_next).all() if wide else all(map(math.isfinite, y_next))):
-            raise DivergenceError(
-                f"non-finite state produced at t = {t}", t, y)
-        y = y_next
-        # the last stage ran at t + h_m, which can round away from t_next
-        reuse[0] = reuse[1] if t + h_m == t_next else None
-        t = t_next
-        if not last:
-            times.append(t)
-            states.append(y.copy())
-    if last:
-        return float(t), np.array(y)
-    return Trajectory(times=np.array(times, dtype=float), states=np.array(states, dtype=float))
+            raise DivergenceError(f"non-finite state produced at t = {t}", t, y)
+        return 0.0
+
+    return _drive(step, f, y, t_start, t_stop, plan, judge, last)

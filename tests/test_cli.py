@@ -219,13 +219,21 @@ class TestGenerate:
 
 
 class TestSolve:
-    def test_fixed_step_point_count(self, capsys):
-        code, out, _ = run(capsys, "solve", "--method", "ERK43b", "--problem", "vdp",
-                           "--h", "0.01", "--t0", "0", "--t1", "12")
+    @pytest.mark.parametrize("method, h, t0, t1, points", [
+        ("ERK43b", "0.01", "0", "12", 1201),
+        # step 100 ends at t1; a step 101 would print the last row twice
+        ("DOPRI5", "1e-11", "1", "1.000000001", 101),
+    ])
+    def test_fixed_step_point_count(self, capsys, method, h, t0, t1, points):
+        code, out, _ = run(capsys, "solve", "--method", method, "--problem", "vdp",
+                           "--h", h, "--t0", t0, "--t1", t1)
         assert code == 0
         header, rows = parse_csv(out)
         assert header == ["t", "y1", "y2"]
-        assert len(rows) == 1201
+        assert len(rows) == points
+        times = [float(row[0]) for row in rows]
+        assert all(a < b for a, b in zip(times, times[1:]))
+        assert times[-1] == float(t1)
 
     def test_csv_full_precision_roundtrip(self, capsys):
         code, out, _ = run(capsys, "solve", "--method", "DOPRI5", "--problem", "vdp",

@@ -1,11 +1,15 @@
-"""Replay of every adaptive step sequence against the documented controller.
+"""Replay of every step sequence against the documented policies.
 
-A recording kernel keeps (t, h, y_next, y_hat_next) of each attempt.  The
-test computes E itself and replays Hairer-Norsett-Wanner II.4 as the
-stepcontrol module docstring states it; the driver's StepLog must match bit
-for bit, and the run must end as the replay says: at t_stop, in
+Adaptive runs: a recording kernel keeps (t, h, y_next, y_hat_next) of each
+attempt.  The test computes E itself and replays Hairer-Norsett-Wanner II.4
+as the stepcontrol module docstring states it; the driver's StepLog must
+match bit for bit, and the run must end as the replay says: at t_stop, in
 MaxStepsExceeded or in StepSizeUnderflow.  It uses none of error_norm,
 propose_step_size, rescale_rejected or ControllerParams.
+
+Fixed-step runs: the test builds the grid that fixed_integrate documents,
+and the times, the h handed to each step and the states must match it bit
+for bit.
 """
 import math
 from dataclasses import replace
@@ -17,7 +21,8 @@ from rkforge import shipped_methods
 from rkforge.generated import METHODS
 from rkforge.problems import PROBLEM_NAMES, benchmark_case
 from rkforge.stepcontrol import (IntegrationOptions, MaxStepsExceeded, StepSizeUnderflow,
-                                 Tolerances, integrate_info, interpreted_kernel)
+                                 Tolerances, fixed_integrate, integrate_info,
+                                 interpreted_kernel)
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -145,6 +150,53 @@ def test_step_size_underflow(name, body):
     # From t = 1 on every stage is NaN, so E = inf and h shrinks below h_min.
     assert check_replay(name, body, lambda t, y: -y if t < 1.0 else y * math.nan,
                         np.array([1.0]), 2.0, Tolerances(1e-6, 1e-6)) is StepSizeUnderflow
+
+
+def fixed_grid(h, t_start, t_stop):
+    """The grid fixed_integrate documents: step m of n = max(1, ceil(span / h
+    - 1e-9)) ends at t_start + m * h, or at t_stop if it is step n or would
+    end past t_stop; the run stops once it reaches t_stop."""
+    n = max(1, math.ceil((t_stop - t_start) / h - 1e-9))
+    grid = [t_start]
+    for m in range(1, n + 1):
+        end = t_start + m * h
+        grid.append(t_stop if m == n or end > t_stop else end)
+        if grid[-1] == t_stop:
+            break
+    return grid
+
+
+@pytest.mark.parametrize("t_start", [0.0, 1000.1], ids=["from-0", "from-1000.1"])
+@pytest.mark.parametrize("problem", PROBLEM_NAMES)
+@pytest.mark.parametrize("body", ["generated", "interpreted"])
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_fixed_runs_replay(name, body, problem, t_start):
+    # a tenth of the case's span in steps of span / 367: 36 steps of h and a
+    # truncated 37th, on a grid that rounds differently from t_start on
+    case = benchmark_case(problem)
+    span = (case.t_stop - case.t_start) / 10.0
+    t_stop, h = t_start + span, span / 36.7
+    kernel = kernel_of(name, body)
+    steps, step = [], kernel.step
+
+    def recording(f, t, y, h, reuse=None):
+        y_next, y_hat_next = step(f, t, y, h, reuse)
+        steps.append((t, h, np.array(y, dtype=float), np.array(y_next, dtype=float)))
+        return y_next, y_hat_next
+
+    recording.lists = getattr(step, "lists", False)  # the drivers' state stays as it is
+    traced = replace(kernel, step=recording)
+    traj = fixed_integrate(traced, case.problem, h, case.y_0, t_start, t_stop)
+    grid = np.array(fixed_grid(h, t_start, t_stop))
+    assert len(grid) == 38
+    assert traj.times.tobytes() == grid.tobytes()
+    t_h = np.array([(t, h_m) for t, h_m, *_ in steps])
+    assert t_h.tobytes() == np.column_stack((grid[:-1], grid[1:] - grid[:-1])).tobytes()
+    states = np.array([case.y_0] + [y_next for *_, y_next in steps])
+    assert traj.states.tobytes() == states.tobytes()
+    assert np.array([y for *_, y, _ in steps]).tobytes() == states[:-1].tobytes()
+    t_n, y_n = fixed_integrate(traced, case.problem, h, case.y_0, t_start, t_stop, last=True)
+    assert t_n == grid[-1] and y_n.tobytes() == states[-1].tobytes()
 
 
 if st is None:

@@ -330,13 +330,35 @@ class TestAdaptiveIntegrate:
 
 
 class TestFixedIntegrate:
-    def test_point_count(self):
+    @pytest.mark.parametrize("h, t_start, t_stop, points", [
+        (0.01, 0.0, 12.0, 1201),
+        # the span over h is 100.0000083, but step 100 already ends at t_stop;
+        # a run that went on to a step 101 would repeat t_stop
+        (1e-11, 1.0, 1.0 + 1e-9, 101),
+    ])
+    def test_point_count(self, h, t_start, t_stop, points):
         prob = ODEProblem(1, lambda t, y: np.zeros(1), "null")
-        traj = fixed_integrate(kernel("ERK43b"), prob, 0.01, np.array([1.0]),
-                               0.0, 12.0)
-        assert traj.times.size == 1201
-        assert traj.times[-1] == 12.0
+        traj = fixed_integrate(kernel("ERK43b"), prob, h, np.array([1.0]),
+                               t_start, t_stop)
+        assert traj.times.size == points
+        assert np.all(np.diff(traj.times) > 0)
+        assert traj.times[-1] == t_stop and np.count_nonzero(traj.times == t_stop) == 1
         assert np.all(traj.states == 1.0)
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_single_step_below_the_floor_ends_at_t_stop(self, last):
+        # the span is below h_min, about 2.2e-12, and t_start + span rounds
+        # below t_stop; a run of one step is taken all the same
+        t_start, t_stop = -7.661368727868479e-13, 2.625183354820275e-13
+        assert t_start + (t_stop - t_start) < t_stop
+        f = CountingRhs()
+        out = fixed_integrate(kernel("DOPRI5"), f, 1.0, np.array([1.0]), t_start, t_stop,
+                              last=last)
+        if last:
+            assert out[0] == t_stop
+        else:
+            assert out.times.tolist() == [t_start, t_stop]
+        assert f.calls == 7
 
     def test_truncated_final_step(self):
         prob = ODEProblem(1, lambda t, y: np.zeros(1), "null")
@@ -575,9 +597,15 @@ DRIVERS = {
                                                                         last=True, **kw),
     "integrate_info": lambda k, f, y_0, t0, t1, **kw: integrate_info(k, f, TOL, y_0, t0, t1,
                                                                      **kw),
-    "fixed": lambda k, f, y_0, t0, t1: fixed_integrate(k, f, 0.1, y_0, t0, t1),
-    "fixed_last": lambda k, f, y_0, t0, t1: fixed_integrate(k, f, 0.1, y_0, t0, t1, last=True),
+    "fixed": lambda k, f, y_0, t0, t1, h=0.1: fixed_integrate(k, f, h, y_0, t0, t1),
+    "fixed_last": lambda k, f, y_0, t0, t1, h=0.1: fixed_integrate(k, f, h, y_0, t0, t1,
+                                                                   last=True),
 }
+
+
+def first_step(driver, h):
+    """The keywords that make h the first step of DRIVERS[driver]."""
+    return {"h": h} if driver.startswith("fixed") else {"options": IntegrationOptions(h0=h)}
 
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
@@ -592,18 +620,24 @@ def test_entry_check_refuses_nonfinite_interval(driver, t_start, t_stop):
     assert f.calls == 0
 
 
-@pytest.mark.parametrize("driver", ["adaptive", "adaptive_last", "integrate_info"])
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_first_step_below_the_floor_is_refused(driver):
-    # h_min is 1e4 * eps * max(|t_start|, |t_stop|, 1), about 2.2e-12 here
+    # h_min is 1e4 * eps * max(|t_start|, |t_stop|, 1): about 2.2e-12 on
+    # [0, 1], and 2.2e-6 on [1e6, 1e6 + 1e-9], where 1e6 + 5e-11 rounds to 1e6
     f = CountingRhs()
-    run = DRIVERS[driver]
-    with pytest.raises(ArgumentError, match="initial step size 1e-300 is below h_min"):
-        run(kernel("DOPRI5"), f, np.array([1.0]), 0.0, 1.0,
-            options=IntegrationOptions(h0=1e-300))
+    run, y_0 = DRIVERS[driver], np.array([1.0])
+    with pytest.raises(ArgumentError, match="initial step size 5e-11 is below h_min"):
+        run(kernel("DOPRI5"), f, y_0, 1e6, 1e6 + 1e-9, **first_step(driver, 5e-11))
+    if not driver.startswith("fixed"):  # for a fixed run, max_steps refuses it first
+        with pytest.raises(ArgumentError, match="initial step size 1e-300 is below h_min"):
+            run(kernel("DOPRI5"), f, y_0, 0.0, 1.0, **first_step(driver, 1e-300))
     assert f.calls == 0
-    # a first step below the floor that reaches t_stop is taken
-    run(kernel("DOPRI5"), f, np.array([1.0]), 0.0, 1e-12, options=IntegrationOptions(h0=1.0))
+    # a first step below the floor that reaches t_stop is taken, and is the
+    # only one: DOPRI5 calls f seven times
+    run(kernel("DOPRI5"), f, y_0, 1e6, 1e6 + 1e-9, **first_step(driver, 1e-9))
     assert f.calls == 7
+    run(kernel("DOPRI5"), f, y_0, 0.0, 1e-12, **first_step(driver, 1.0))
+    assert f.calls == 14
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
