@@ -6,8 +6,9 @@ C_i) rendered at 17 significant digits, and terms with zero coefficients are
 simply absent; wide systems get the same constants as stepcontrol.array_step's
 arrays.  One template, templates/solver.py.tmpl, is declarative text with
 {{name}} placeholders, read and checked once; all expansion logic (per-stage
-loops, zero elision) lives in this renderer, which fills every placeholder
-in a single pass.
+loops, zero elision, first same as last) lives in this renderer, which fills
+every placeholder in a single pass and decides from the tableau what a
+generated step would otherwise check at run time.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
 # other.
 _PLACEHOLDERS = frozenset({
     "method_name", "order", "embedded_order", "stages", "description",
-    "constants", "arrays", "stage_lines", "y_update", "y_hat_update", "last_stage",
+    "constants", "arrays", "stage_lines", "y_hat_update", "last_stage",
 })
 
 # The names a rendered module binds or reads at module scope besides its
@@ -115,29 +116,27 @@ def _increment(names) -> str | None:
     return f"[y[a] + h * ({' + '.join(terms)}) for a in r]"
 
 
-def _stage_lines(a, c) -> str:
-    """Unrolled stage evaluations on float lists, one line per stage after
-    the first (_step's list body)."""
+def _stage_lines(t: ButcherTableau, a, b, c) -> tuple[str, str]:
+    """_step's list body after k1, a line per stage and one for y_next, and
+    its reuse[1] (see StepKernel): the last stage, or "None".
+
+    The last stage is f(t + h, y_next) bit for bit (first same as last) when
+    its row of a has b's nonzero pattern and, as rendered, b's values, and
+    c_s renders to 1.0: its input sums the same floats as y_next in the same
+    order.  Then the body computes y_next first and hands it to that stage.
+    """
+    def floats(*values):
+        return [float(render_coefficient_literal(v)) for v in values]
+
     lines = []
     for i in range(1, len(a)):
         time = f"t + {c[i]} * h" if c[i] else "t"
         lines.append(f"    k{i + 1} = f({time}, {_increment(a[i]) or 'y'})")
-    return "\n".join(lines)
-
-
-def _last_stage(a, b, c) -> str:
-    """_step's reuse[1] (see StepKernel): the last stage, or "None".
-
-    The last stage is f(t + h, y_next) when its row of a has b's nonzero
-    pattern (so b_s = 0) and, checked at call time, those constants equal
-    b's and c_s is 1.0: its input then sums the same floats as y_next in the
-    same order.  A patched weight thus turns the reuse off.
-    """
-    if [n is None for n in a[-1]] != [n is None for n in b] or c[-1] is None:
-        return "None"
-    last_row = ", ".join(n for n in a[-1] if n)
-    weights = ", ".join(n for n in b if n)
-    return f"k{len(a)} if ({last_row}, {c[-1]}) == ({weights}, 1.0) else None"
+    y_next = f"    y_next = {_increment(b)}"
+    if ([n is None for n in a[-1]] != [n is None for n in b]
+            or floats(*t.a[-1], t.c[-1]) != floats(*t.b, 1)):
+        return "\n".join([*lines, y_next]), "None"
+    return "\n".join([*lines[:-1], y_next, f"    k{t.s} = f(t + {c[-1]} * h, y_next)"]), f"k{t.s}"
 
 
 def _docstring_safe(text: str) -> str:
@@ -155,11 +154,9 @@ def _module_source(t: ButcherTableau) -> str:
         "description": _docstring_safe(t.description),
         "constants": _constant_lines(t, *names),
         "arrays": _arrays(*names),
-        "stage_lines": _stage_lines(a, c),
-        "y_update": _increment(b),
         "y_hat_update": _increment(b_hat),
-        "last_stage": _last_stage(a, b, c),
     }
+    values["stage_lines"], values["last_stage"] = _stage_lines(t, a, b, c)
     return _PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], _template())
 
 

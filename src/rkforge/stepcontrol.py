@@ -327,8 +327,7 @@ def interpreted_kernel(t: ButcherTableau) -> StepKernel:
     coefficients = _float_coefficients(t)
 
     def step(f, t_m, y_m, h, reuse=None):
-        y_next, y_hat_next, _ = array_step(coefficients, f, t_m, y_m, h, reuse)
-        return y_next, y_hat_next
+        return array_step(coefficients, f, t_m, y_m, h, reuse)[:2]
 
     return StepKernel(name=t.name, order=t.p, stages=t.s, step=step)
 
@@ -345,8 +344,7 @@ def error_norm(y, y_hat, tol: Tolerances) -> float:
     Lists of fewer than 8 floats take a float loop that sums in order,
     anything else works in place on two arrays of its own; both give the
     same bits.  A non-finite difference or an overflowing square makes the
-    sum non-finite, so E = +inf; on the array path numpy may also issue a
-    RuntimeWarning for it.
+    sum non-finite, so E = +inf, and neither path issues a warning for it.
     """
     # numpy sums fewer than 8 terms (its pairwise block) one by one, in order
     if not (type(y) is list and type(y_hat) is list and 0 < len(y) == len(y_hat) < 8):
@@ -354,23 +352,20 @@ def error_norm(y, y_hat, tol: Tolerances) -> float:
         y_hat = np.asarray(y_hat, dtype=float)
         if y.shape != y_hat.shape or y.ndim != 1 or y.size == 0:
             raise ValueError("y and y_hat must be equal-length nonempty vectors")
-        sc = np.abs(y)
-        q = np.abs(y_hat)
-        np.maximum(sc, q, out=sc)
-        sc *= tol.r_tol
-        sc += tol.a_tol
-        np.subtract(y, y_hat, out=q)
-        if tol.a_tol == 0.0:
-            zero_scale = sc == 0.0
-            if zero_scale.any():
-                if q[zero_scale].any():
-                    return math.inf
-                sc[zero_scale] = 1.0
-        q /= sc
-        q *= q
-        # np.mean's own sum and division, without its overhead
-        s = float(np.add.reduce(q)) / y.shape[0]
-        return math.sqrt(s) if math.isfinite(s) else math.inf
+        with np.errstate(all="ignore"):
+            sc = np.abs(y)
+            q = np.abs(y_hat)
+            np.maximum(sc, q, out=sc)
+            sc *= tol.r_tol
+            sc += tol.a_tol
+            np.subtract(y, y_hat, out=q)
+            if tol.a_tol == 0.0:  # so 0 / 0 adds +0.0 and d / 0 makes E = inf
+                sc[(sc == 0.0) & (q == 0.0)] = 1.0
+            q /= sc
+            q *= q
+            # np.mean's own sum and division, without its overhead
+            s = float(np.add.reduce(q)) / y.shape[0]
+            return math.sqrt(s) if math.isfinite(s) else math.inf
     a_tol, r_tol = tol.a_tol, tol.r_tol
     s = 0.0  # with += and not sum(), which compensates from Python 3.12 on
     try:
@@ -492,13 +487,22 @@ def _step_log(attempts) -> StepLog:
     return StepLog(t[accepted], h[accepted], t[rejected], h[rejected], e[accepted])
 
 
+def _attempt(t: float, h: float, t_stop: float, h_min: float):
+    """An attempt of h from t: (h_use, t_next, below) with h_use = min(h,
+    t_stop - t), t_next where it ends if accepted, and below whether the
+    floor refuses it, h_use < h_min and t_next < t_stop (module docstring)."""
+    h_use = min(h, t_stop - t)
+    t_next = t_stop if h_use >= t_stop - t else min(t + h_use, t_stop)
+    return h_use, t_next, h_use < h_min and t_next < t_stop
+
+
 def _h_min(h: float, t_start: float, t_stop: float) -> float:
     """The step floor of both policies, h_min (module docstring); a first
-    step of min(h, t_stop - t_start) below it raises ArgumentError."""
+    attempt of h that it refuses (_attempt) raises ArgumentError."""
     h_min = 1e4 * np.finfo(float).eps * max(abs(t_start), abs(t_stop), 1.0)
-    h = min(h, t_stop - t_start)
-    if h < h_min and t_start + h < t_stop:
-        raise ArgumentError(f"initial step size {h} is below h_min = {h_min}")
+    h_use, _, below = _attempt(t_start, h, t_stop, h_min)
+    if below:
+        raise ArgumentError(f"initial step size {h_use} is below h_min = {h_min}")
     return h_min
 
 
@@ -552,12 +556,12 @@ def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances, y_0, t_start: floa
                 f"no convergence within {opts.max_steps} step attempts "
                 f"(reached t = {t}, last h = {attempts[-1][1]})",
                 t, y, _step_log(attempts))
-        h_use = min(h, t_stop - t)
-        if h_use < h_min and t + h_use < t_stop:
+        h_use, t_next, below = _attempt(t, h, t_stop, h_min)
+        if below:
             raise StepSizeUnderflow(
                 f"step size underflow: h = {h_use} < h_min = {h_min} at t = {t} "
                 f"after {len(attempts)} step attempts", t, y, _step_log(attempts))
-        return h_use, t_stop if h_use >= t_stop - t else min(t + h_use, t_stop)
+        return h_use, t_next
 
     def judge(t, y, y_next, y_hat_next, h_use):
         nonlocal h, e_prev

@@ -3,6 +3,7 @@ import re
 import sys
 import zlib
 from dataclasses import replace
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,27 @@ class TestRenderSolverSource:
         update = re.search(r"    y_next = (.+)", src).group(1)
         assert "k3" not in update
         assert "B_1" in update and "B_2" in update
+
+    @pytest.mark.parametrize("a_last, b, c_last, last", [
+        # sample3: the last row has b's pattern, other values, and c_3 = 1/2
+        ((F(1, 4), F(1, 4), 0), (F(1, 2), F(1, 2), 0), F(1, 2), None),
+        # b's pattern, other values and c_3 = 1
+        ((F(1, 4), F(3, 4), 0), (F(1, 2), F(1, 2), 0), 1, None),
+        # first same as last
+        ((F(1, 2), F(1, 2), 0), (F(1, 2), F(1, 2), 0), 1, "k3"),
+    ])
+    def test_first_same_as_last_is_decided_by_the_renderer(self, a_last, b, c_last, last):
+        t = sample_tableau()
+        t = replace(t, p=2, p_hat=1, a=(*t.a[:2], a_last), b=b, b_hat=(1, 0, 0),
+                    c=(*t.c[:2], c_last))
+        src = render_method_module(t)
+        body = src[src.index("def _step"):src.index("_step.lists")]
+        assert re.findall(r"k(\d) = f\(", body) == ["1", "2", "3"]
+        assert f"reuse[:] = k1, {last}\n" in body
+        assert "==" not in body
+        fsal = ("    y_next = [y[a] + h * (B_1 * k1[a] + B_2 * k2[a]) for a in r]\n"
+                "    k3 = f(t + C_3 * h, y_next)\n")
+        assert (fsal in body) == (last is not None)
 
     def test_identical_weight_rows_render_symmetrically(self):
         t = sample_tableau()

@@ -75,11 +75,12 @@ def check_replay(name, body, rhs, y_0, t_stop, tol, max_steps=3000, h0=None):
     accepted, rejected = [], []
     for t_m, h_m, y, y_hat in attempts:
         h_use = min(h, t_stop - t)
+        t_next = t_stop if h_use >= t_stop - t else min(t + h_use, t_stop)
         assert (t_m, h_m) == (t, h_use)
-        assert not (h_use < h_min and t + h_use < t_stop)
+        assert not (h_use < h_min and t_next < t_stop)
         e = rms_error(y, y_hat, tol.a_tol, tol.r_tol)
         if e <= 1.0:
-            t = t_stop if h_use >= t_stop - t else min(t + h_use, t_stop)
+            t = t_next
             accepted.append((t, h_use, e))
             h = h_use / (F_MIN if e == 0.0
                          else max(F_MIN, min(F_MAX, e ** a * e_prev ** (-b) / F_S)))
@@ -94,10 +95,11 @@ def check_replay(name, body, rhs, y_0, t_stop, tol, max_steps=3000, h0=None):
                       (rej[:, 1], log.rejected_h)):
         assert want.tobytes() == got.tobytes()
     h_use = min(h, t_stop - t)
+    t_next = t_stop if h_use >= t_stop - t else min(t + h_use, t_stop)
     if stop is MaxStepsExceeded:
         assert len(attempts) == max_steps and t < t_stop
     elif stop is StepSizeUnderflow:
-        assert h_use < h_min and t + h_use < t_stop
+        assert h_use < h_min and t_next < t_stop
     else:
         assert t == t_stop
     return stop

@@ -5,6 +5,7 @@ array path.  Each property is drawn on both sides of WIDE_N and checked on
 the arrays and on the same values as lists.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +20,6 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 TOLERANCES = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(
     lambda pair: pair[0] + pair[1] > 0).map(lambda pair: Tolerances(*pair))
 
-# huge finite entries overflow the array path's squares to inf, as intended
-pytestmark = pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-
 # derandomized, so every run draws the same examples
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -31,8 +29,11 @@ def vectors(n):
 
 
 def norms(y, y_hat, tol):
-    """error_norm on the arrays and on the same values as lists."""
-    return [error_norm(y, y_hat, tol), error_norm(y.tolist(), y_hat.tolist(), tol)]
+    """error_norm on the arrays and on the same values as lists, neither of
+    which may warn, for a non-finite or overflowing input either."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return [error_norm(y, y_hat, tol), error_norm(y.tolist(), y_hat.tolist(), tol)]
 
 
 @st.composite

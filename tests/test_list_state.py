@@ -203,7 +203,6 @@ def array_formula(y, y_hat, tol):
     return math.sqrt(s) if math.isfinite(s) else math.inf
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n", range(1, WIDE_N + 1))
 def test_error_norm_on_lists_has_the_bits_of_the_array_call(n):
     # lists of fewer than 8 floats take the float loop, longer ones the

@@ -638,6 +638,12 @@ def test_first_step_below_the_floor_is_refused(driver):
     assert f.calls == 7
     run(kernel("DOPRI5"), f, y_0, 0.0, 1e-12, **first_step(driver, 1.0))
     assert f.calls == 14
+    # so is one of h >= t_stop - t_start where t_start + (t_stop - t_start)
+    # rounds below t_stop: it ends at t_stop all the same
+    t_start, t_stop = -7.661368727868479e-13, 2.625183354820275e-13
+    assert t_start + (t_stop - t_start) < t_stop
+    run(kernel("DOPRI5"), f, y_0, t_start, t_stop, **first_step(driver, 1.0))
+    assert f.calls == 21
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
