@@ -6,9 +6,8 @@ C_i) rendered at 17 significant digits, and terms with zero coefficients are
 simply absent; wide systems get the same constants as stepcontrol.array_step's
 arrays.  One template, templates/solver.py.tmpl, is declarative text with
 {{name}} placeholders, read and checked once; all expansion logic (per-stage
-loops, zero elision, first same as last) lives in this renderer, which fills
-every placeholder in a single pass and decides from the tableau what a
-generated step would otherwise check at run time.
+loops, zero elision, whether the last stage is first same as last) lives in
+this renderer, which fills every placeholder in a single pass.
 """
 from __future__ import annotations
 
@@ -39,7 +38,7 @@ _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
 # other.
 _PLACEHOLDERS = frozenset({
     "method_name", "order", "embedded_order", "stages", "description",
-    "constants", "arrays", "stage_lines", "y_hat_update", "last_stage",
+    "constants", "arrays", "stage_lines", "y_update", "y_hat_update", "last_stage",
 })
 
 # The names a rendered module binds or reads at module scope besides its
@@ -116,27 +115,30 @@ def _increment(names) -> str | None:
     return f"[y[a] + h * ({' + '.join(terms)}) for a in r]"
 
 
-def _stage_lines(t: ButcherTableau, a, b, c) -> tuple[str, str]:
-    """_step's list body after k1, a line per stage and one for y_next, and
-    its reuse[1] (see StepKernel): the last stage, or "None".
-
-    The last stage is f(t + h, y_next) bit for bit (first same as last) when
-    its row of a has b's nonzero pattern and, as rendered, b's values, and
-    c_s renders to 1.0: its input sums the same floats as y_next in the same
-    order.  Then the body computes y_next first and hands it to that stage.
-    """
-    def floats(*values):
-        return [float(render_coefficient_literal(v)) for v in values]
-
+def _stage_lines(a, c) -> str:
+    """Unrolled stage evaluations on float lists, one line per stage after
+    the first (_step's list body)."""
     lines = []
     for i in range(1, len(a)):
         time = f"t + {c[i]} * h" if c[i] else "t"
         lines.append(f"    k{i + 1} = f({time}, {_increment(a[i]) or 'y'})")
-    y_next = f"    y_next = {_increment(b)}"
-    if ([n is None for n in a[-1]] != [n is None for n in b]
-            or floats(*t.a[-1], t.c[-1]) != floats(*t.b, 1)):
-        return "\n".join([*lines, y_next]), "None"
-    return "\n".join([*lines[:-1], y_next, f"    k{t.s} = f(t + {c[-1]} * h, y_next)"]), f"k{t.s}"
+    return "\n".join(lines)
+
+
+def _last_stage(t: ButcherTableau, a, b, c) -> str:
+    """_step's reuse[1] (see StepKernel): the last stage, or "None".
+
+    The last stage is f(t + h, y_next) when its row of a renders to b's
+    values and c_s to 1.0: its input then sums y_next's floats in order.
+    The renderer decides this from the tableau, and the body checks it again
+    at call time: a rebound constant (a patched weight) turns the reuse off.
+    """
+    if ([float(render_coefficient_literal(v)) for v in (*t.a[-1], t.c[-1])]
+            != [float(render_coefficient_literal(v)) for v in (*t.b, 1)]):
+        return "None"
+    last_row = ", ".join(n for n in a[-1] if n)
+    weights = ", ".join(n for n in b if n)
+    return f"k{len(a)} if ({last_row}, {c[-1]}) == ({weights}, 1.0) else None"
 
 
 def _docstring_safe(text: str) -> str:
@@ -154,9 +156,11 @@ def _module_source(t: ButcherTableau) -> str:
         "description": _docstring_safe(t.description),
         "constants": _constant_lines(t, *names),
         "arrays": _arrays(*names),
+        "stage_lines": _stage_lines(a, c),
+        "y_update": _increment(b),
         "y_hat_update": _increment(b_hat),
+        "last_stage": _last_stage(t, a, b, c),
     }
-    values["stage_lines"], values["last_stage"] = _stage_lines(t, a, b, c)
     return _PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], _template())
 
 

@@ -64,11 +64,11 @@ def _step(f, t, y, h, reuse=None):
     k2 = f(t + C_2 * h, [y[a] + h * (A_2_1 * k1[a]) for a in r])
     k3 = f(t + C_3 * h, [y[a] + h * (A_3_2 * k2[a]) for a in r])
     k4 = f(t + C_4 * h, [y[a] + h * (A_4_3 * k3[a]) for a in r])
+    k5 = f(t + C_5 * h, [y[a] + h * (A_5_1 * k1[a] + A_5_2 * k2[a] + A_5_3 * k3[a] + A_5_4 * k4[a]) for a in r])
     y_next = [y[a] + h * (B_1 * k1[a] + B_2 * k2[a] + B_3 * k3[a] + B_4 * k4[a]) for a in r]
-    k5 = f(t + C_5 * h, y_next)
     y_hat_next = [y[a] + h * (BH_1 * k1[a] + BH_2 * k2[a] + BH_3 * k3[a] + BH_5 * k5[a]) for a in r]
     if reuse is not None:
-        reuse[:] = k1, k5
+        reuse[:] = k1, k5 if (A_5_1, A_5_2, A_5_3, A_5_4, C_5) == (B_1, B_2, B_3, B_4, 1.0) else None
     return y_next, y_hat_next
 
 

@@ -359,8 +359,10 @@ def error_norm(y, y_hat, tol: Tolerances) -> float:
             sc *= tol.r_tol
             sc += tol.a_tol
             np.subtract(y, y_hat, out=q)
-            if tol.a_tol == 0.0:  # so 0 / 0 adds +0.0 and d / 0 makes E = inf
-                sc[(sc == 0.0) & (q == 0.0)] = 1.0
+            if tol.a_tol == 0.0:
+                zero_scale = sc == 0.0
+                if zero_scale.any():  # so 0 / 0 adds +0.0 and d / 0 makes E = inf
+                    sc[zero_scale & (q == 0.0)] = 1.0
             q /= sc
             q *= q
             # np.mean's own sum and division, without its overhead
@@ -487,22 +489,12 @@ def _step_log(attempts) -> StepLog:
     return StepLog(t[accepted], h[accepted], t[rejected], h[rejected], e[accepted])
 
 
-def _attempt(t: float, h: float, t_stop: float, h_min: float):
-    """An attempt of h from t: (h_use, t_next, below) with h_use = min(h,
-    t_stop - t), t_next where it ends if accepted, and below whether the
-    floor refuses it, h_use < h_min and t_next < t_stop (module docstring)."""
-    h_use = min(h, t_stop - t)
-    t_next = t_stop if h_use >= t_stop - t else min(t + h_use, t_stop)
-    return h_use, t_next, h_use < h_min and t_next < t_stop
-
-
 def _h_min(h: float, t_start: float, t_stop: float) -> float:
     """The step floor of both policies, h_min (module docstring); a first
-    attempt of h that it refuses (_attempt) raises ArgumentError."""
+    attempt of h that it refuses raises ArgumentError."""
     h_min = 1e4 * np.finfo(float).eps * max(abs(t_start), abs(t_stop), 1.0)
-    h_use, _, below = _attempt(t_start, h, t_stop, h_min)
-    if below:
-        raise ArgumentError(f"initial step size {h_use} is below h_min = {h_min}")
+    if h < t_stop - t_start and h < h_min and t_start + h < t_stop:
+        raise ArgumentError(f"initial step size {h} is below h_min = {h_min}")
     return h_min
 
 
@@ -556,12 +548,13 @@ def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances, y_0, t_start: floa
                 f"no convergence within {opts.max_steps} step attempts "
                 f"(reached t = {t}, last h = {attempts[-1][1]})",
                 t, y, _step_log(attempts))
-        h_use, t_next, below = _attempt(t, h, t_stop, h_min)
-        if below:
+        # h >= t_stop - t ends at t_stop, whatever t + h rounds to
+        if h < t_stop - t and h < h_min and t + h < t_stop:
             raise StepSizeUnderflow(
-                f"step size underflow: h = {h_use} < h_min = {h_min} at t = {t} "
+                f"step size underflow: h = {h} < h_min = {h_min} at t = {t} "
                 f"after {len(attempts)} step attempts", t, y, _step_log(attempts))
-        return h_use, t_next
+        h_use = min(h, t_stop - t)
+        return h_use, t_stop if h_use >= t_stop - t else min(t + h_use, t_stop)
 
     def judge(t, y, y_next, y_hat_next, h_use):
         nonlocal h, e_prev

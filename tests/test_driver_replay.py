@@ -75,12 +75,12 @@ def check_replay(name, body, rhs, y_0, t_stop, tol, max_steps=3000, h0=None):
     accepted, rejected = [], []
     for t_m, h_m, y, y_hat in attempts:
         h_use = min(h, t_stop - t)
-        t_next = t_stop if h_use >= t_stop - t else min(t + h_use, t_stop)
         assert (t_m, h_m) == (t, h_use)
-        assert not (h_use < h_min and t_next < t_stop)
+        # refused only below the floor and short of t_stop
+        assert not (h < t_stop - t and h < h_min and t + h < t_stop)
         e = rms_error(y, y_hat, tol.a_tol, tol.r_tol)
         if e <= 1.0:
-            t = t_next
+            t = t_stop if h_use >= t_stop - t else min(t + h_use, t_stop)
             accepted.append((t, h_use, e))
             h = h_use / (F_MIN if e == 0.0
                          else max(F_MIN, min(F_MAX, e ** a * e_prev ** (-b) / F_S)))
@@ -94,12 +94,10 @@ def check_replay(name, body, rhs, y_0, t_stop, tol, max_steps=3000, h0=None):
                       (acc[:, 2], log.errors), (rej[:, 0], log.rejected_t),
                       (rej[:, 1], log.rejected_h)):
         assert want.tobytes() == got.tobytes()
-    h_use = min(h, t_stop - t)
-    t_next = t_stop if h_use >= t_stop - t else min(t + h_use, t_stop)
     if stop is MaxStepsExceeded:
         assert len(attempts) == max_steps and t < t_stop
     elif stop is StepSizeUnderflow:
-        assert h_use < h_min and t_next < t_stop
+        assert h < t_stop - t and h < h_min and t + h < t_stop
     else:
         assert t == t_stop
     return stop
