@@ -76,7 +76,6 @@ def check_replay(name, body, rhs, y_0, t_stop, tol, max_steps=3000, h0=None):
     for t_m, h_m, y, y_hat in attempts:
         h_use = min(h, t_stop - t)
         assert (t_m, h_m) == (t, h_use)
-        # refused only below the floor and short of t_stop
         assert not (h < t_stop - t and h < h_min and t + h < t_stop)
         e = rms_error(y, y_hat, tol.a_tol, tol.r_tol)
         if e <= 1.0:
