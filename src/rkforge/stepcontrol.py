@@ -26,6 +26,8 @@ rule).  WIDE_N is read in one more place, step_on_arrays.
 
 Every driver, the generated modules' too, runs one loop, _drive, with one
 of two policies, adaptive or fixed-step: the control has a single home.
+_drive keeps no record per attempt, so a ``last`` run holds O(1) memory;
+the adaptive policy keeps the attempt records that its StepLog reads.
 """
 from __future__ import annotations
 
@@ -270,9 +272,10 @@ def array_step(coefficients, f, t_m: float, y_m: np.ndarray, h: float, reuse=Non
     so the same bits, with one array per stage and no temporaries.  That
     array stays the stage's own, since f may keep a reference to its input.
 
-    ``reuse`` is StepKernel's.  The last stage is compared with y_next by
-    bytes: equal rows of a and b are not enough, since a BLAS product over
-    s - 1 stages may round differently from one over s.
+    ``reuse`` is StepKernel's.  When c_s is 1.0 and the last row of a equals
+    b (first same as last, the rule codegen._last_stage applies to the same
+    floats), y_next is the last stage's input, so that stage is
+    f(t_m + h, y_next) by construction and is always handed back.
     """
     a, b, b_hat, c = coefficients
     k = np.empty((a.shape[0], y_m.shape[0]))
@@ -282,15 +285,17 @@ def array_step(coefficients, f, t_m: float, y_m: np.ndarray, h: float, reuse=Non
         y_i *= h
         y_i += y_m
         k[i] = f(t_m + c[i] * h, y_i)
-    y_next = b @ k
-    y_next *= h
-    y_next += y_m
+    if fsal := c[-1] == 1.0 and (a[-1] == b).all():
+        y_next = y_i
+    else:
+        y_next = b @ k
+        y_next *= h
+        y_next += y_m
     y_hat_next = b_hat @ k
     y_hat_next *= h
     y_hat_next += y_m
     if reuse is not None:
-        last = c[-1] == 1.0 and y_i.tobytes() == y_next.tobytes()
-        reuse[:] = k[0], k[-1] if last else None
+        reuse[:] = k[0], k[-1] if fsal else None
     return y_next, y_hat_next, k
 
 
@@ -482,7 +487,7 @@ def _driver_state(kernel: StepKernel, y: np.ndarray):
 
 
 def _step_log(attempts) -> StepLog:
-    """The StepLog of _drive's attempt records (t, h, E, accepted)."""
+    """The StepLog of the adaptive policy's attempt records (t, h, E, accepted)."""
     t, h, e, accepted = np.array(attempts, dtype=float).reshape(-1, 4).T
     accepted = accepted.astype(bool)
     rejected = ~accepted
@@ -499,31 +504,25 @@ def _h_min(h: float, t_start: float, t_stop: float) -> float:
 
 
 def _drive(step, f, y, t_start: float, t_stop: float, plan, judge, last):
-    """The one driver loop: while t < t_stop, plan(t, y, attempts) gives
-    (h, t_next) and judge(t, y, y_next, y_hat_next, h) gives E, and E <= 1
-    moves to (t_next, y_next); either may raise.  It owns the reuse hand-over,
-    the attempt records (t after it, h, E, accepted), the accepted times and
-    states, and the result: (t_n, y_n) when ``last``, the StepLog when it is
-    StepLog, else the Trajectory."""
+    """The one driver loop: while t < t_stop, plan(t, y) gives (h, t_next)
+    and judge(t, y, t_next, y_next, y_hat_next, h) gives E, and E <= 1
+    moves to (t_next, y_next); either may raise.  It owns the reuse
+    hand-over, the accepted times and states, and the result: (t_n, y_n)
+    when ``last``, else the Trajectory.  It keeps no record per attempt; a
+    policy that needs one keeps its own."""
     t = t_start
     times, states = [t], [y.copy()]
-    attempts: list[tuple] = []
     reuse = [None, None]
     while t < t_stop:
-        h, t_next = plan(t, y, attempts)
+        h, t_next = plan(t, y)
         y_next, y_hat_next = step(f, t, y, h, reuse)
-        e = judge(t, y, y_next, y_hat_next, h)
-        accepted = e <= 1.0
-        if accepted:
+        if judge(t, y, t_next, y_next, y_hat_next, h) <= 1.0:
             # the last stage ran at t + h, which can round away from t_next
             reuse[0] = reuse[1] if t + h == t_next else None
             t, y = t_next, y_next
             if not last:
                 times.append(t)
                 states.append(y.copy())
-        attempts.append((t, h, e, accepted))
-    if last is StepLog:
-        return _step_log(attempts)
     if last:
         return float(t), np.array(y)
     return Trajectory(times=np.array(times, dtype=float), states=np.array(states, dtype=float))
@@ -531,9 +530,11 @@ def _drive(step, f, y, t_start: float, t_stop: float, plan, judge, last):
 
 def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances, y_0, t_start: float,
                    t_stop: float, options: IntegrationOptions | None, last):
-    """The adaptive policy of _drive, whose result it returns: plan refuses an
-    attempt past max_steps or below h_min and gives h = min(h, t_stop - t);
-    judge gives E by error_norm and updates h (module docstring)."""
+    """The adaptive policy of _drive: plan refuses an attempt past max_steps
+    or below h_min and gives h = min(h, t_stop - t); judge gives E by
+    error_norm, updates h (module docstring) and records the attempt as (t
+    after it, h, E, accepted).  Those records give the failures' logs, and
+    the result when ``last`` is StepLog."""
     opts = options or IntegrationOptions()
     h = opts.h0 if opts.h0 is not None else (t_stop - t_start) / 100.0
     f, y = _entry_check(prob, y_0, t_start, t_stop, h)
@@ -541,8 +542,9 @@ def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances, y_0, t_start: floa
     cp = ControllerParams.for_order(kernel.order)
     h_min = _h_min(h, t_start, t_stop)
     e_prev = 1.0
+    attempts: list[tuple] = []
 
-    def plan(t, y, attempts):
+    def plan(t, y):
         if len(attempts) >= opts.max_steps:
             raise MaxStepsExceeded(
                 f"no convergence within {opts.max_steps} step attempts "
@@ -556,18 +558,21 @@ def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances, y_0, t_start: floa
         h_use = min(h, t_stop - t)
         return h_use, t_stop if h_use >= t_stop - t else min(t + h_use, t_stop)
 
-    def judge(t, y, y_next, y_hat_next, h_use):
+    def judge(t, y, t_next, y_next, y_hat_next, h_use):
         nonlocal h, e_prev
         # A non-finite trial has E = inf (error_norm), so it is retried smaller.
         e_m = error_norm(y_next, y_hat_next, tol)
-        if e_m <= 1.0:
+        accepted = e_m <= 1.0
+        if accepted:
             h = propose_step_size(h_use, e_m, e_prev, cp)
             e_prev = max(e_m, cp.e_prev_floor)
         else:
             h = rescale_rejected(h_use, e_m, cp)
+        attempts.append((t_next if accepted else t, h_use, e_m, accepted))
         return e_m
 
-    return _drive(step, f, y, t_start, t_stop, plan, judge, last)
+    result = _drive(step, f, y, t_start, t_stop, plan, judge, last)
+    return _step_log(attempts) if last is StepLog else result
 
 
 def adaptive_integrate(method: StepKernel, prob, tol: Tolerances, y_0,
@@ -596,10 +601,11 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
     ``options`` only max_steps applies: a run of more steps, a set h0, or
     an h below h_min that does not reach t_stop in one step raises
     ArgumentError before the first rhs call.  The fixed policy of _drive:
-    plan ends step m of n = max(1, ceil(span / h - 1e-9)) at t_start + m * h,
-    or at t_stop if m = n or that is past t_stop, and the run stops at t_stop,
-    so the times strictly increase; judge gives E = 0, or raises
-    DivergenceError for a non-finite state (see IntegrationError).
+    plan counts its own steps and ends step m of n = max(1, ceil(span / h -
+    1e-9)) at t_start + m * h, or at t_stop if m = n or that is past t_stop,
+    and the run stops at t_stop, so the times strictly increase; judge gives
+    E = 0, or raises DivergenceError for a non-finite state (see
+    IntegrationError).
     """
     f, y = _entry_check(prob, y_0, t_start, t_stop, h)
     step, y = _driver_state(method, y)
@@ -615,13 +621,14 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
     if n_steps > 1:  # a single step ends at t_stop, whatever its h
         _h_min(h, t_start, t_stop)
     wide = type(y) is not list
+    steps = iter(range(1, n_steps + 1))
 
-    def plan(t, y, attempts):
-        m = len(attempts) + 1
+    def plan(t, y):
+        m = next(steps)
         t_next = t_stop if m == n_steps else min(t_start + m * h, t_stop)
         return t_next - t, t_next
 
-    def judge(t, y, y_next, y_hat_next, h):
+    def judge(t, y, t_next, y_next, y_hat_next, h):
         if not (np.isfinite(y_next).all() if wide else all(map(math.isfinite, y_next))):
             raise DivergenceError(f"non-finite state produced at t = {t}", t, y)
         return 0.0

@@ -17,6 +17,8 @@ from rkforge import shipped_methods
 from rkforge.generated import METHODS
 from rkforge.problems import benchmark_case
 from rkforge.stepcontrol import (
+    WIDE_N,
+    DivergenceError,
     Tolerances,
     adaptive_integrate,
     fixed_integrate,
@@ -50,6 +52,14 @@ def case(name):
 
 def kernel(name, body):
     return METHODS[name].KERNEL if body == "generated" else interpreted_kernel(TABLEAUS[name])
+
+
+BS32 = ButcherTableau(
+    name="BS32", description="", s=4, p=3, p_hat=2,
+    a=((0, 0, 0, 0), (F(1, 2), 0, 0, 0), (0, F(3, 4), 0, 0),
+       (F(2, 9), F(1, 3), F(4, 9), 0)),
+    b=(F(2, 9), F(1, 3), F(4, 9), 0), b_hat=(F(7, 24), F(1, 4), F(1, 3), F(1, 8)),
+    c=(0, F(1, 2), F(3, 4), 1))
 
 
 def reuse_free(k):
@@ -134,26 +144,42 @@ def test_patched_weight_turns_the_reuse_off(monkeypatch, name):
 
 
 def test_fsal_tableau_of_four_stages_on_the_array_path():
-    # a BLAS product over s - 1 = 3 stages can round differently from one
-    # over 4 with a zero weight, so equal rows of a and b do not make the
-    # last stage f(t + h, y_next); the array kernel compares the inputs
-    bs32 = ButcherTableau(
-        name="BS32", description="", s=4, p=3, p_hat=2,
-        a=((0, 0, 0, 0), (F(1, 2), 0, 0, 0), (0, F(3, 4), 0, 0),
-           (F(2, 9), F(1, 3), F(4, 9), 0)),
-        b=(F(2, 9), F(1, 3), F(4, 9), 0), b_hat=(F(7, 24), F(1, 4), F(1, 3), F(1, 8)),
-        c=(0, F(1, 2), F(3, 4), 1))
-    step = interpreted_kernel(bs32).step
+    # the last row of a is b and c_4 = 1, so the array kernel takes y_next as
+    # the last stage's input and hands that stage back at every step; a BLAS
+    # product over all 4 stages with a zero weight could round otherwise
+    step = interpreted_kernel(BS32).step
     rng = np.random.default_rng(zlib.crc32(b"BS32"))
-    handed_back = 0
     for _ in range(200):
         y, t, h = rng.standard_normal(40), rng.uniform(-1.0, 1.0), rng.uniform(0.01, 0.1)
         reuse = [None, None]
         y_next, _ = step(system40, t, y, h, reuse)
-        if reuse[1] is not None:
-            handed_back += 1
-            assert reuse[1].tobytes() == system40(t + h, y_next).tobytes()
-    assert 0 < handed_back < 200
+        assert reuse[1].tobytes() == system40(t + h, y_next).tobytes()
+
+
+def test_fsal_tableau_of_four_stages_meets_the_rhs_count():
+    # the count of test_rhs_calls_counted_exactly, for a tableau outside the
+    # shipped file on the array path
+    f = Counted(system40)
+    log = integrate_info(interpreted_kernel(BS32), f, Tolerances(1e-7, 1e-7), Y40, 0.0, 3.0)
+    accepted, rejected = log.accepted_t.size, log.rejected_t.size
+    assert rejected > 0
+    assert f.calls == 4 * (accepted + rejected) - rejected - (accepted - 1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fsal_divergence_is_seen_at_one_time_by_every_body():
+    # y' = y^2 from y_0 = 1 blows up at t = 1; ERK43b's last stage there is
+    # infinite, and its zero weight must not make y_next NaN on the array path
+    def diverges_at(k, n):
+        with pytest.raises(DivergenceError) as info:
+            fixed_integrate(k, lambda t, y: y * y, 0.01, np.ones(n), 0.0, 2.0)
+        return info.value.t
+
+    list_body = diverges_at(kernel("ERK43b", "generated"), 1)
+    assert list_body == 1.02
+    assert diverges_at(kernel("ERK43b", "interpreted"), 1) == list_body
+    assert diverges_at(kernel("ERK43b", "interpreted"), WIDE_N + 1) == list_body
+    assert diverges_at(kernel("ERK43b", "generated"), WIDE_N + 1) == list_body
 
 
 @pytest.mark.parametrize("name", sorted(METHODS))

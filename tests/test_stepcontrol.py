@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -466,6 +467,24 @@ class TestFixedIntegrate:
                 fixed_integrate(kernel("ERK43b"), lambda t, y: y, 0.3, np.array([1.0]),
                                 0, t_stop, last=True)):
             assert type(t) is float and t == 1.0
+
+    def test_last_holds_constant_memory(self):
+        # a last run keeps no record per step, so its memory does not grow
+        # with the step count: 2e5 steps of a marked no-op kernel
+        def step(f, t, y, h, reuse=None):
+            return y, y
+
+        step.lists = True
+        noop = StepKernel(name="noop", order=1, stages=1, step=step)
+        tracemalloc.start()
+        try:
+            t, _ = fixed_integrate(noop, lambda t, y: y, 1 / 200_000, np.ones(2), 0.0, 1.0,
+                                   last=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t == 1.0
+        assert peak < 1_000_000
 
 
 def injecting_kernel(step=None, position=0, value=math.nan) -> StepKernel:
