@@ -16,8 +16,8 @@ updates that file.  The groups are
             y of a DivergenceError, and the message of a run refused for
             taking more than max_steps steps;
   solve     `forge solve` stdout, stderr and exit code;
-  direct    a generated _step and error_norm called directly, as criteria 3
-            and 11 call a kernel.
+  direct    a generated _step and error_norm called directly, as criterion
+            3 calls a kernel.
 
 The library groups cover the 9 shipped methods x their generated KERNEL and
 interpreted_kernel x the six benchmark problems, each as its list_rhs

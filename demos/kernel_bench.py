@@ -2,8 +2,9 @@
 
 Both take the same steps, to roundoff; the generated modules inline every
 nonzero coefficient as a named scalar constant and fuse the stage arithmetic
-per component, which pays off at the small system sizes of this suite.  The
-timing loop is `rkforge.cli.kernel_seconds`, the one behind `forge bench`.
+per component, which pays off at the small system sizes of this suite.  Each
+kernel is timed by `rkforge.cli.kernel_seconds`, as `forge bench` times it:
+through `fixed_integrate(..., last=True)`, the drivers' loop.
 
 Run:  python demos/kernel_bench.py
 """

@@ -271,34 +271,35 @@ def cmd_report(args) -> int:
 
 
 def kernel_seconds(kernel, steps: int) -> float:
-    """Seconds for `steps` bare fixed steps of ``kernel`` on the Brusselator
-    case (h = 20/steps from t = 0), timed after a warm-up over the first
-    min(steps, 2000) of them.  The rhs output is converted to a float array,
-    not checked, so the time is the kernel's own."""
+    """Seconds for `steps` fixed steps of ``kernel`` on the Brusselator case
+    (h = 20/steps from t = 0), timed through ``fixed_integrate(...,
+    last=True)``, the drivers' loop, after a warm-up over the first
+    min(steps, 2000) of them.  A run that turns non-finite raises
+    DivergenceError."""
     case = benchmark_case("brusselator")
-    rhs = case.problem.rhs
-    f = lambda t, y: np.asarray(rhs(t, y), dtype=float)
     h = (case.t_stop - case.t_start) / steps
 
-    def run(n):
-        y, t = case.y_0.copy(), case.t_start
+    def run(t_stop, n):
         start = time.perf_counter()
-        for _ in range(n):
-            y, _unused = kernel.step(f, t, y, h)
-            t += h
+        fixed_integrate(kernel, case.problem, h, case.y_0, case.t_start, t_stop,
+                        last=True, options=IntegrationOptions(max_steps=n))
         return time.perf_counter() - start
 
-    run(min(steps, 2000))
-    return run(steps)
+    warm_up = min(steps, 2000)
+    run(case.t_start + warm_up * h, warm_up)
+    return run(case.t_stop, steps)
 
 
 def cmd_bench(args) -> int:
     module = _solver(args.method)
     from . import shipped_methods
     tableau = next(t for t in shipped_methods() if t.name == args.method)
-    generated_s = kernel_seconds(module.KERNEL, args.steps)
-    generic_s = kernel_seconds(interpreted_kernel(tableau), args.steps)
-    ratio = (args.steps / generated_s) / (args.steps / generic_s)
+    try:
+        generated_s = kernel_seconds(module.KERNEL, args.steps)
+        generic_s = kernel_seconds(interpreted_kernel(tableau), args.steps)
+    except IntegrationError as exc:
+        raise _runtime_error("integration-failure", str(exc)) from exc
+    ratio = generic_s / generated_s
     csv = ("method,steps,generated_seconds,generic_seconds,throughput_ratio\n"
            f"{args.method},{args.steps},{_fmt(generated_s)},{_fmt(generic_s)},{_fmt(ratio)}")
     _write_output(csv, args.output)

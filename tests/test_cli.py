@@ -8,8 +8,9 @@ import pytest
 
 from rkforge import cli, shipped_method_path
 from rkforge.cli import main
+from rkforge.generated import METHODS
 from rkforge.problems import ArenstorfParams, benchmark_case
-from rkforge.stepcontrol import StepLog, Trajectory
+from rkforge.stepcontrol import IntegrationOptions, StepKernel, StepLog, Trajectory
 
 
 def run(capsys, *argv):
@@ -522,6 +523,35 @@ class TestBench:
         header, rows = parse_csv(out)
         assert header[-1] == "throughput_ratio"
         assert float(rows[0][-1]) > 0.5
+
+    def test_diverged_run_is_an_integration_failure(self, capsys):
+        # h = 20/3 turns the Brusselator state non-finite; no throughput row
+        code, out, err = run(capsys, "bench", "--steps", "3")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("forge: error[integration-failure]")
+
+    def test_kernel_is_timed_through_the_drivers(self):
+        # the step sees what a driver hands it: list states and a marked f
+        kernel = METHODS["ERK43b"].KERNEL
+        seen = set()
+
+        def step(f, t, y, h, reuse=None):
+            seen.add((type(y), getattr(f, "lists", False)))
+            return kernel.step(f, t, y, h, reuse)
+
+        step.lists = True
+        cli.kernel_seconds(replace(kernel, step=step), 100)
+        assert seen == {(list, True)}
+
+    def test_steps_above_the_default_max_steps(self):
+        def step(f, t, y, h, reuse=None):
+            return y, y
+
+        step.lists = True
+        noop = StepKernel(name="noop", order=1, stages=1, step=step)
+        assert cli.kernel_seconds(noop, IntegrationOptions.max_steps + 1) > 0
 
 
 class TestGenerateStrict:

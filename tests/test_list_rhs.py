@@ -154,7 +154,7 @@ def test_a_user_kernel_calling_with_arrays_gets_arrays():
 @pytest.mark.parametrize("name", sorted(METHODS))
 @pytest.mark.parametrize("n", [2, WIDE_N + 1])
 def test_direct_step_with_an_array_f_is_unchanged(name, n):
-    # criteria 3 and 11 call _step with a bare f on arrays: k1 gets y itself,
+    # criterion 3 calls _step with a bare f on arrays: k1 gets y itself,
     # every stage an array, and the result equals the list path's bits
     rhs, y = list_system(n)
     inputs = []
