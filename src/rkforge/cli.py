@@ -3,7 +3,11 @@
 All numeric output is CSV with round-trip float formatting (shortest decimal
 that reparses to the same 64-bit value, locale independent).  Exit codes:
 0 success, 1 runtime failure, 2 usage or validation error.  Every error path
-prints one line `forge: error[<code>] <text>` to stderr.
+prints one line `forge: error[<code>] <text>` to stderr.  `main` owns the
+mapping from an exception to its code and exit code.  A command raises a
+CliError, which carries both, only for what it alone can name: a usage
+error, or a failure whose code depends on the command (a method file that
+cannot be read or parsed, an invalid tableau).
 """
 from __future__ import annotations
 
@@ -44,10 +48,6 @@ def _usage_error(code: str, message: str) -> CliError:
     return CliError(code, message, 2)
 
 
-def _runtime_error(code: str, message: str) -> CliError:
-    return CliError(code, message, 1)
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors take the one-line error path."""
 
@@ -71,10 +71,7 @@ def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise _runtime_error("io-failure", f"cannot write {path}: {exc}") from exc
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _load_methods(path: str):
@@ -119,8 +116,6 @@ def cmd_generate(args) -> int:
                 print(f"forge: warning[{t.name}] {w}", file=sys.stderr)
     try:
         manifest = generate_module_set(methods, args.out)
-    except OSError as exc:
-        raise _runtime_error("io-failure", str(exc)) from exc
     except ValueError as exc:
         raise _usage_error("invalid-tableau", str(exc)) from exc
     _write_output(format_manifest(manifest), args.output)
@@ -189,29 +184,20 @@ def cmd_solve(args) -> int:
     kernel = module.KERNEL
     options = IntegrationOptions(h0=args.h0, max_steps=args.max_steps)
     last = args.output_kind == "last"
-    try:
-        if args.output_kind == "steplog":
-            csv = _steplog_csv(integrate_info(kernel, case.problem, tol, case.y_0, t0, t1,
-                                              options=options))
+    if args.output_kind == "steplog":
+        csv = _steplog_csv(integrate_info(kernel, case.problem, tol, case.y_0, t0, t1,
+                                          options=options))
+    else:
+        if tol is None:
+            result = fixed_integrate(kernel, case.problem, args.h, case.y_0, t0, t1,
+                                     last=last, options=options)
         else:
-            if tol is None:
-                result = fixed_integrate(kernel, case.problem, args.h, case.y_0, t0, t1,
-                                         last=last, options=options)
-            else:
-                result = adaptive_integrate(kernel, case.problem, tol, case.y_0, t0, t1,
-                                            last=last, options=options)
-            if last:
-                t_n, y_n = result
-                result = Trajectory(times=np.array([t_n]), states=np.array([y_n]))
-            csv = _trajectory_csv(result)
-    except IntegrationError as exc:
-        raise _runtime_error("integration-failure", str(exc)) from exc
-    except ArgumentError:
-        raise
-    except ValueError as exc:
-        # Not a refused argument, so this comes from the rhs: a singularity
-        # or an output of the wrong shape.
-        raise _runtime_error("rhs-failure", str(exc)) from exc
+            result = adaptive_integrate(kernel, case.problem, tol, case.y_0, t0, t1,
+                                        last=last, options=options)
+        if last:
+            t_n, y_n = result
+            result = Trajectory(times=np.array([t_n]), states=np.array([y_n]))
+        csv = _trajectory_csv(result)
     _write_output(csv, args.output)
     return 0
 
@@ -293,12 +279,12 @@ def kernel_seconds(kernel, steps: int) -> float:
 def cmd_bench(args) -> int:
     module = _solver(args.method)
     from . import shipped_methods
-    tableau = next(t for t in shipped_methods() if t.name == args.method)
-    try:
-        generated_s = kernel_seconds(module.KERNEL, args.steps)
-        generic_s = kernel_seconds(interpreted_kernel(tableau), args.steps)
-    except IntegrationError as exc:
-        raise _runtime_error("integration-failure", str(exc)) from exc
+    tableau = next((t for t in shipped_methods() if t.name == args.method), None)
+    if tableau is None:
+        raise _usage_error("unknown-method",
+                           f"no table named {args.method!r} in the shipped method file")
+    generated_s = kernel_seconds(module.KERNEL, args.steps)
+    generic_s = kernel_seconds(interpreted_kernel(tableau), args.steps)
     ratio = generic_s / generated_s
     csv = ("method,steps,generated_seconds,generic_seconds,throughput_ratio\n"
            f"{args.method},{args.steps},{_fmt(generated_s)},{_fmt(generic_s)},{_fmt(ratio)}")
@@ -378,6 +364,14 @@ def main(argv=None) -> int:
         code, message, exit_code = exc.code, exc, exc.exit_code
     except ArgumentError as exc:
         code, message, exit_code = "bad-flags", exc, 2
+    except IntegrationError as exc:
+        code, message, exit_code = "integration-failure", exc, 1
+    except OSError as exc:
+        code, message, exit_code = "io-failure", exc, 1
+    except ValueError as exc:
+        # Not a refused argument, so this comes from the rhs: a singularity
+        # or an output of the wrong shape.
+        code, message, exit_code = "rhs-failure", exc, 1
     print(f"forge: error[{code}] {message}", file=sys.stderr)
     return exit_code
 

@@ -31,7 +31,6 @@ the adaptive policy keeps the attempt records that its StepLog reads.
 """
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -241,7 +240,6 @@ class DivergenceError(IntegrationError):
     pass
 
 
-@functools.cache
 def _float_coefficients(t: ButcherTableau):
     """Tableau coefficients as float64 arrays, via the rendered literals so the
     interpreter and the generated code agree bit for bit."""
@@ -418,15 +416,18 @@ def rescale_rejected(h_m: float, e_m: float, cp: ControllerParams) -> float:
 def _entry_check(prob, y_0, t_start: float, t_stop: float, h: float):
     """The argument check every driver and erk_step_generic run first, which
     raises ArgumentError before any rhs call; ``prob`` is an ODEProblem or a
-    bare rhs callable.  Returns (f, y): prob's rhs wrapped, and y_0 as a
-    float array of its own.  f returns the kind of y it was given, a float
-    array or a list of N floats, checked to have shape (N,); a wrong shape
-    can show mid-run, so f raises a plain ValueError for it.  f carries the
-    mark lists (StepKernel).  Given a list, it hands rhs an array of it,
-    unless prob.list_rhs; then it hands rhs the list as is, and returns a
-    list result of length N as is, checking nothing else.
+    bare rhs callable; y_0 must be a nonempty 1-D vector.  Returns (f, y):
+    prob's rhs wrapped, and y_0 as a float array of its own.  f returns the
+    kind of y it was given, a float array or a list of N floats, checked to
+    have shape (N,); a wrong shape can show mid-run, so f raises a plain
+    ValueError for it.  f carries the mark lists (StepKernel).  Given a
+    list, it hands rhs an array of it, unless prob.list_rhs; then it hands
+    rhs the list as is, and returns a list result of length N as is,
+    checking nothing else.
     """
     y = np.array(y_0, dtype=float)
+    if y.ndim != 1 or not y.size:
+        raise ArgumentError(f"y_0 must be a nonempty vector, got shape {y.shape}")
     prob = prob if isinstance(prob, ODEProblem) else ODEProblem(len(y), prob)
     n = prob.dimension
     if n != len(y):

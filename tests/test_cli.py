@@ -10,7 +10,13 @@ from rkforge import cli, shipped_method_path
 from rkforge.cli import main
 from rkforge.generated import METHODS
 from rkforge.problems import ArenstorfParams, benchmark_case
-from rkforge.stepcontrol import IntegrationOptions, StepKernel, StepLog, Trajectory
+from rkforge.stepcontrol import (
+    DivergenceError,
+    IntegrationOptions,
+    StepKernel,
+    StepLog,
+    Trajectory,
+)
 
 
 def run(capsys, *argv):
@@ -408,6 +414,13 @@ class TestSolve:
         assert code == 0 and out == ""
         assert path.read_text().startswith("t,y1,y2")
 
+    def test_unwritable_output_names_the_path(self, capsys, tmp_path):
+        code, out, err = run(capsys, "solve", "--method", "DOPRI5", "--problem", "vdp",
+                             "--h", "0.1", "--output", str(tmp_path))
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("forge: error[io-failure] ") and str(tmp_path) in line
+
 
 class TestCsvWriters:
     """The CSV writers format rows from tolist(); the per-value formula they
@@ -514,6 +527,29 @@ class TestReport:
         slope = float(rows[0][2])
         assert 3.7 <= slope <= 4.3
 
+    def test_convergence_divergence_is_an_integration_failure(self, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise DivergenceError("state is not finite at t = 0.5", 0.5, [1.0])
+
+        monkeypatch.setattr(cli, "fixed_integrate", diverge)
+        code, out, err = run(capsys, "report", "--kind", "convergence",
+                             "--method", "ERK43b")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "forge: error[integration-failure] state is not finite at t = 0.5"]
+
+    def test_arenstorf_table_rhs_singularity_exit_1(self, capsys, monkeypatch):
+        # the small body starts on the large one: SingularityError on the
+        # first rhs call, which no row can report
+        case = benchmark_case("arenstorf:1")
+        on_body = np.array([0.0, 0.0, ArenstorfParams().mu2, 0.0])
+        monkeypatch.setattr(cli, "benchmark_case", lambda name: replace(case, y_0=on_body))
+        code, out, err = run(capsys, "report", "--kind", "arenstorf-table",
+                             "--method", "DOPRI5")
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("forge: error[rhs-failure] ") and "collision" in line
+
 
 class TestBench:
     def test_ratio_reported(self, capsys):
@@ -531,6 +567,15 @@ class TestBench:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("forge: error[integration-failure]")
+
+    def test_method_without_a_shipped_table_exit_2(self, capsys, monkeypatch):
+        # a registry generated from another method file than the shipped one
+        registry = {**METHODS, "Custom": METHODS["ERK43b"]}
+        monkeypatch.setattr(cli, "_generated_registry", lambda: registry)
+        code, out, err = run(capsys, "bench", "--method", "Custom", "--steps", "100")
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("forge: error[unknown-method] ") and "'Custom'" in line
 
     def test_kernel_is_timed_through_the_drivers(self):
         # the step sees what a driver hands it: list states and a marked f

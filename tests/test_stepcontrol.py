@@ -676,6 +676,16 @@ def test_entry_check_refuses_nan_state_and_step():
         (lambda: erk_step_generic(TABLEAUS["DOPRI5"], f, 0.0, np.array([1.0]), math.nan),
          "finite t_start < t_stop"),
     ]
+    # an empty, a matrix and a scalar state, refused by every entry
+    for y_0 in ([], [[1.0, 2.0], [3.0, 4.0]], 3.0):
+        runs += [
+            (lambda y_0=y_0: fixed_integrate(kernel("DOPRI5"), f, 0.1, y_0, 0.0, 1.0),
+             "nonempty vector"),
+            (lambda y_0=y_0: adaptive_integrate(kernel("DOPRI5"), f, TOL, y_0, 0.0, 1.0),
+             "nonempty vector"),
+            (lambda y_0=y_0: erk_step_generic(TABLEAUS["DOPRI5"], f, 0.0, y_0, 0.1),
+             "nonempty vector"),
+        ]
     for run, message in runs:
         with pytest.raises(ArgumentError, match=message):
             run()
