@@ -71,7 +71,12 @@ def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        # a failed write or close carries no file name; a failed open does
+        exc.filename = exc.filename or path
+        raise
 
 
 def _load_methods(path: str):

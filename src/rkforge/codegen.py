@@ -128,13 +128,14 @@ def _stage_lines(a, c) -> str:
 def _last_stage(t: ButcherTableau, a, b, c) -> str:
     """_step's reuse[1] (see StepKernel): the last stage, or "None".
 
-    The last stage is f(t + h, y_next) when its row of a renders to b's
-    values and c_s to 1.0: its input then sums y_next's floats in order.
-    The renderer decides this from the tableau, and the body checks it again
-    at call time: a rebound constant (a patched weight) turns the reuse off.
+    The last stage is f(t + h, y_next) when its row of a has b's doubles and
+    c_s is 1.0: its input then sums y_next's floats in order.  The doubles
+    are float(v) of the exact coefficients, which the rendered literals
+    reparse to.  The renderer decides this from the tableau, and the body
+    checks it again at call time: a rebound constant (a patched weight) turns
+    the reuse off.
     """
-    if ([float(render_coefficient_literal(v)) for v in (*t.a[-1], t.c[-1])]
-            != [float(render_coefficient_literal(v)) for v in (*t.b, 1)]):
+    if [float(v) for v in (*t.a[-1], t.c[-1])] != [float(v) for v in (*t.b, 1)]:
         return "None"
     last_row = ", ".join(n for n in a[-1] if n)
     weights = ", ".join(n for n in b if n)

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tableau import ButcherTableau, render_coefficient_literal
+from .tableau import ButcherTableau
 
 __all__ = [
     "ArgumentError",
@@ -241,12 +241,11 @@ class DivergenceError(IntegrationError):
 
 
 def _float_coefficients(t: ButcherTableau):
-    """Tableau coefficients as float64 arrays, via the rendered literals so the
-    interpreter and the generated code agree bit for bit."""
-    def floats(values):
-        return np.array([float(render_coefficient_literal(x)) for x in values])
-
-    return np.array([floats(row) for row in t.a]), floats(t.b), floats(t.b_hat), floats(t.c)
+    """Tableau coefficients as float64 arrays (a, b, b_hat, c), each the
+    nearest double to its exact rational.  The generated code's literals
+    reparse to the same doubles (acceptance criterion 2), so the interpreter
+    and the generated code agree bit for bit without sharing the renderer."""
+    return tuple(np.array(v, dtype=float) for v in (t.a, t.b, t.b_hat, t.c))
 
 
 def erk_step_generic(t: ButcherTableau, prob: ODEProblem, t_m: float,

@@ -9,6 +9,7 @@ rendered or a kernel is built.
 """
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import re
@@ -33,6 +34,9 @@ __all__ = [
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 _IDENTIFIER_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# A quotient in this context is exact or raises Inexact: it passes the exact
+# decimals of at most 17 significant digits (down to 1e-1000015).
+_SHORT_DECIMAL = decimal.Context(prec=17, traps=[decimal.Inexact])
 
 
 class TableauError(ValueError):
@@ -40,10 +44,10 @@ class TableauError(ValueError):
 
 
 class MethodParseError(TableauError):
-    """Malformed JSON; carries the byte offset of the failure."""
+    """Malformed JSON; carries the byte offset of the failure where it is known."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} (byte offset {offset})")
         self.offset = offset
 
 
@@ -78,14 +82,16 @@ def parse_rational(value) -> Fraction:
                 f"non-integer number {value!r} is not exact; write it as a fraction string \"m/n\"")
         return Fraction(int(value))
     if isinstance(value, str):
+        # the regex refuses what Fraction(str) would also read: whitespace,
+        # "+", decimal points, exponents and underscores
         if not _RATIONAL_RE.match(value):
             raise CoefficientError(f"coefficient string {value!r} does not match m or m/n")
-        num, _, den = value.partition("/")
-        if den:
-            if int(den) == 0:
-                raise CoefficientError(f"zero denominator in {value!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise CoefficientError(f"zero denominator in {value!r}") from None
+        except ValueError as exc:  # more digits than int() reads
+            raise CoefficientError(f"coefficient string of {len(value)} characters: {exc}") from None
     raise CoefficientError(f"coefficient must be a string or number, got {type(value).__name__}")
 
 
@@ -171,6 +177,8 @@ def parse_method_file(data: bytes | str) -> list[ButcherTableau]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MethodParseError(f"malformed JSON: {exc.msg}", exc.pos) from None
+    except ValueError as exc:  # an integer with more digits than int() reads
+        raise MethodParseError(f"unreadable JSON number: {exc}") from None
     if not isinstance(doc, list):
         raise MethodSchemaError("method file must be a JSON array of method objects")
 
@@ -179,11 +187,8 @@ def parse_method_file(data: bytes | str) -> list[ButcherTableau]:
     for idx, obj in enumerate(doc):
         if not isinstance(obj, dict):
             raise MethodSchemaError(f"method {idx}: expected an object")
-        name = _coeff_array(obj, "name", idx)
-        description = _coeff_array(obj, "description", idx)
-        stage = _coeff_array(obj, "stage", idx)
-        order = _coeff_array(obj, "order", idx)
-        p_hat = _coeff_array(obj, "extrapolation_order", idx)
+        name, description, stage, order, p_hat = (_coeff_array(obj, key, idx) for key in (
+            "name", "description", "stage", "order", "extrapolation_order"))
         for label, value in (("name", name), ("description", description)):
             if not isinstance(value, str):
                 raise MethodSchemaError(f"method {idx}: {label} must be a string")
@@ -202,9 +207,8 @@ def parse_method_file(data: bytes | str) -> list[ButcherTableau]:
         if not isinstance(a_rows, list):
             raise MethodSchemaError(f"{name}: a must be an array")
         a = tuple(_parse_row(row, f"a row {i + 1}", name) for i, row in enumerate(a_rows))
-        b = _parse_row(_coeff_array(obj, "b", idx), "b", name)
-        b_hat = _parse_row(_coeff_array(obj, "b_hat", idx), "b_hat", name)
-        c = _parse_row(_coeff_array(obj, "c", idx), "c", name)
+        b, b_hat, c = (_parse_row(_coeff_array(obj, key, idx), key, name)
+                       for key in ("b", "b_hat", "c"))
         tableaus.append(ButcherTableau(name=name, description=description, s=stage,
                                        p=order, p_hat=p_hat, a=a, b=b, b_hat=b_hat, c=c))
     return tableaus
@@ -265,7 +269,7 @@ def strict_warnings(t: ButcherTableau) -> tuple[Violation, ...]:
 def render_coefficient_literal(r: Fraction) -> str:
     """Decimal literal for a coefficient, reparsing to the nearest 64-bit float.
 
-    Exact finite decimals shorter than 17 significant digits are emitted
+    Exact finite decimals of at most 17 significant digits are emitted
     exactly (1/2 -> "0.5"); integers carry a trailing ".0"; everything else is
     the 17-significant-digit rendering of the nearest 64-bit float, which is
     the value both the generated code and the generic kernel will compute
@@ -273,33 +277,10 @@ def render_coefficient_literal(r: Fraction) -> str:
     """
     if r.denominator == 1:
         return f"{r.numerator}.0"
-    exact = _finite_decimal(r)
-    if exact is not None:
-        return exact
     try:
-        as_float = float(r)
-    except OverflowError:
-        raise CoefficientError(f"coefficient {r} overflows a 64-bit float") from None
-    return "%.17g" % as_float
-
-
-def _finite_decimal(r: Fraction) -> str | None:
-    """Exact positional decimal of r if it terminates within 17 significant
-    digits, else None."""
-    den = r.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        return None
-    scale = max(twos, fives)
-    digits = abs(r.numerator) * 10 ** scale // r.denominator
-    if len(str(digits).rstrip("0") or "0") > 17:
-        return None
-    sign = "-" if r.numerator < 0 else ""
-    text = str(digits).rjust(scale + 1, "0")
-    return f"{sign}{text[:-scale]}.{text[-scale:]}" if scale else f"{sign}{text}.0"
+        return format(_SHORT_DECIMAL.divide(r.numerator, r.denominator), "f")
+    except decimal.Inexact:
+        try:
+            return "%.17g" % float(r)
+        except OverflowError:
+            raise CoefficientError(f"coefficient {r} overflows a 64-bit float") from None

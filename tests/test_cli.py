@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 from dataclasses import replace
 
@@ -26,6 +27,8 @@ def run(capsys, *argv):
 
 
 SOLVE_VDP = ("solve", "--method", "DOPRI5", "--problem", "vdp")
+SAMPLE_ERK43B = json.dumps([m for m in json.loads(shipped_method_path().read_text())
+                            if m["name"] == "ERK43b"])
 
 
 def parse_csv(text):
@@ -62,6 +65,27 @@ class TestValidate:
         code, out, err = run(capsys, "validate", "--methods", str(path))
         assert code == 2
         assert "forge: error[invalid-method-file]" in err
+
+    def test_unreadable_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        code, out, err = run(capsys, "validate", "--methods", str(path))
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"forge: error[io-failure] cannot read {path}: ")
+
+    @pytest.mark.parametrize("coefficient", ['"' + "7" * 5000 + '"', "7" * 5000],
+                             ids=["string", "json-integer"])
+    def test_more_digits_than_int_reads_is_an_invalid_file(self, capsys, tmp_path,
+                                                            coefficient):
+        # written by hand: json.dumps cannot write an int of 5000 digits
+        text = SAMPLE_ERK43B.replace('"c": ["0"', f'"c": [{coefficient}', 1)
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", "--methods", str(path))
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("forge: error[invalid-method-file] ")
+        assert "digits" in line
 
     @pytest.mark.parametrize("name", ["Class", "KERNEL"])
     def test_unusable_method_name_is_a_violation(self, capsys, tmp_path, name):
@@ -420,6 +444,15 @@ class TestSolve:
         assert code == 1 and out == ""
         [line] = err.splitlines()
         assert line.startswith("forge: error[io-failure] ") and str(tmp_path) in line
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_names_the_path(self, capsys):
+        # the open succeeds and the write fails, so the OSError has no filename
+        code, out, err = run(capsys, "solve", "--method", "DOPRI5", "--problem", "vdp",
+                             "--h", "0.1", "--output", "/dev/full")
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("forge: error[io-failure] ") and "/dev/full" in line
 
 
 class TestCsvWriters:

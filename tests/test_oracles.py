@@ -1,9 +1,10 @@
 """Checks of the generated kernels that share no code with the renderer.
 
 Criterion 3 and the kernel-equivalence tests compare each generated kernel
-with erk_step_generic, and both read their coefficients through
-render_coefficient_literal, so a rendering fault would pass them all.  The
-oracles here start from the exact tableau or from scipy instead.
+with erk_step_generic, which takes its coefficients as float(x) of the exact
+rationals, apart from render_coefficient_literal, so a fault in the rendered
+literals shows as a difference between the two.  The oracles here start from
+the exact tableau or from scipy.
 """
 import ast
 import math

@@ -1,5 +1,6 @@
 """Round trips of the exact coefficients: method-file text to Fraction, and
 Fraction to the decimal literal the generated modules carry."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,14 @@ FRACTIONS = st.one_of(
     st.builds(Fraction, NUMERATORS, st.integers(1, 10 ** 4)),
 ).filter(lambda r: abs(r) <= BOUND)
 
+# non-integer m/10^k of at most 17 significant digits
+SHORT_DECIMALS = st.builds(lambda m, k: Fraction(m, 10 ** k),
+                           st.integers(-(10 ** 17 - 1), 10 ** 17 - 1),
+                           st.integers(1, 40)).filter(lambda r: r.denominator != 1)
+# denominators with a prime factor other than 2 or 5: no finite decimal
+NON_TERMINATING = FRACTIONS.filter(
+    lambda r: r.denominator // math.gcd(r.denominator, 10 ** r.denominator.bit_length()) != 1)
+
 # derandomized, so every run draws the same examples
 PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -35,6 +44,13 @@ def test_parse_reads_numerator_and_denominator(p, q):
 def test_literal_reparses_to_the_nearest_double(r):
     # float(Fraction) rounds correctly, so it is the nearest double
     assert float(render_coefficient_literal(r)) == float(r)
+
+
+@PROPERTY
+@given(SHORT_DECIMALS, NON_TERMINATING)
+def test_literal_is_the_exact_decimal_or_the_double_at_17_digits(short, other):
+    assert Fraction(render_coefficient_literal(short)) == short
+    assert render_coefficient_literal(other) == "%.17g" % float(other)
 
 
 @PROPERTY

@@ -129,6 +129,31 @@ class TestParseMethodFile:
             parse_method_file(b"{}")
 
 
+def _sample_with(**changes) -> str:
+    doc = json.loads(SAMPLE)
+    doc[0].update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("data, error, match", [
+    (_sample_with(c=["0", True, "1/2"]), CoefficientError, "got True"),
+    (_sample_with(c=["0", {"n": 1}, "1/2"]), CoefficientError, "got dict"),
+    (_sample_with(a="0"), MethodSchemaError, "sample3: a must be an array"),
+    (_sample_with(a=[["0", "0", "0"], "1", ["1/4", "1/4", "0"]]), MethodSchemaError,
+     "sample3: a row 2 must be an array"),
+    ('["sample3"]', MethodSchemaError, "method 0: expected an object"),
+    (_sample_with(name=3), MethodSchemaError, "method 0: name must be a string"),
+    (_sample_with(stage=0), MethodSchemaError,
+     r"method 0 \(sample3\): stage must be a positive integer"),
+    (b'[{"name": "\xff"}]', MethodParseError,
+     r"invalid UTF-8: invalid start byte \(byte offset 11\)"),
+], ids=["bool", "dict", "a-not-array", "a-row-not-array", "entry-not-object",
+        "name-not-string", "stage-below-1", "invalid-utf8"])
+def test_refused_method_file(data, error, match):
+    with pytest.raises(error, match=match):
+        parse_method_file(data)
+
+
 class TestValidateTableau:
     def test_sample_ok(self):
         report = validate_tableau(sample_tableau())
@@ -210,6 +235,9 @@ class TestRenderCoefficientLiteral:
     def test_seventeen_digit_rendering(self):
         assert render_coefficient_literal(Fraction(1, 6)) == "0.16666666666666666"
         assert render_coefficient_literal(Fraction(1, 3)) == "0.33333333333333331"
+        # a finite decimal of 18 significant digits is not written exactly
+        assert render_coefficient_literal(Fraction(123456789012345678, 10 ** 5)) \
+            == "1234567890123.4568"
 
     def test_reparse_recovers_nearest_double(self):
         rng = random.Random(99)
@@ -217,6 +245,10 @@ class TestRenderCoefficientLiteral:
             r = Fraction(rng.randint(-10 ** 9, 10 ** 9) or 1,
                          rng.randint(1, 10 ** 9))
             assert float(render_coefficient_literal(r)) == float(r)
+
+    def test_overflow_is_a_coefficient_error(self):
+        with pytest.raises(CoefficientError, match="overflows a 64-bit float"):
+            render_coefficient_literal(Fraction(10 ** 400, 3))
 
     def test_deterministic(self):
         r = Fraction(-5103, 18656)
