@@ -30,9 +30,13 @@ last, steplog, fixed-step and a --max-steps 30 failure.  The direct group
 covers the 9 methods' _step over two steps, its results and reuse slots: on
 arrays of N = 1, 2, WIDE_N, WIDE_N + 1 and 40 with a bare array rhs, and on
 those arrays and on lists of N = 1 to WIDE_N with the drivers' rhs of a
-list_rhs and of an array-rhs problem.  It also covers error_norm on seeded
-arrays and the same values as lists, N = 1 to WIDE_N + 1, with NaN, inf
-and zero-scale inputs.  It takes a minute or two.
+list_rhs and of an array-rhs problem.  Those lists, like every state of
+N = 1 to WIDE_N in the library groups, run the per-N list bodies that
+codegen.list_body writes out; their lines equal those of the loop body
+_step_n, which ran every list before the per-N bodies came in.  It also
+covers error_norm on seeded arrays and the same values as lists, N = 1 to
+WIDE_N + 1, with NaN, inf and zero-scale inputs.  It takes about 20 s on
+2 cores.
 
 The runs above WIDE_N go through array_step's BLAS products, whose rounding
 may differ with another CPU or BLAS build; this is unverified on a hosted

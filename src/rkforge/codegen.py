@@ -8,6 +8,16 @@ arrays.  One template, templates/solver.py.tmpl, is declarative text with
 {{name}} placeholders, read and checked once; all expansion logic (per-stage
 loops, zero elision, whether the last stage is first same as last) lives in
 this renderer, which fills every placeholder in a single pass.
+
+The module's list body, _step_n, loops over the components.  For lists of
+1 to WIDE_N floats, list_body renders the same block of the template again
+at run time, with the components written out (y_0, y_1 = y, and each stage
+input [y_0 + h * (A_3_1 * k1_0 + A_3_2 * k2_0), ...]) from the module's own
+constant names; a generated _step calls it the first time it sees a length
+and caches the result in the module.  That costs 0.2 to 1.1 ms per (method,
+N) at N <= 4 and 3.7 ms for DOPRI8 at N = 16 (2 cores, Python 3.11.7), once
+per process.  The module files carry only _step_n, so a fresh interpreter
+compiles no body that it does not run.
 """
 from __future__ import annotations
 
@@ -21,6 +31,7 @@ from importlib import resources
 from itertools import chain
 from pathlib import Path
 
+from .stepcontrol import WIDE_N, _float_coefficients
 from .tableau import ButcherTableau, render_coefficient_literal, validate_tableau
 
 __all__ = [
@@ -30,6 +41,7 @@ __all__ = [
     "render_method_module",
     "generate_module_set",
     "format_manifest",
+    "list_body",
 ]
 
 _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
@@ -38,7 +50,8 @@ _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
 # other.
 _PLACEHOLDERS = frozenset({
     "method_name", "order", "embedded_order", "stages", "description",
-    "constants", "arrays", "stage_lines", "y_update", "y_hat_update", "last_stage",
+    "constants", "arrays", "components", "stage_lines", "y_update", "y_hat_update",
+    "last_stage",
 })
 
 # The names a rendered module binds or reads at module scope besides its
@@ -46,9 +59,13 @@ _PLACEHOLDERS = frozenset({
 # shadow it.
 _MODULE_NAMES = frozenset({
     "np", "StepKernel", "Tolerances", "adaptive_integrate", "fixed_integrate",
-    "integrate_info", "step_on_arrays", "_ARRAYS", "_step", "KERNEL", "range", "type",
-    "list", "len",
+    "integrate_info", "step_on_arrays", "list_body", "_ARRAYS", "_BODIES", "_step_n",
+    "_step", "KERNEL", "range", "type", "list", "len", "globals",
 })
+
+# The names of coefficient constants; list_body finds a module's constants by
+# them, so no driver may be named so.
+_CONSTANT_RE = re.compile(r"A_\d+_\d+|BH?_\d+|C_\d+")
 
 _DRIVER_SUFFIX_RE = re.compile(r"^def \{\{method_name\}\}(\w*)\(", re.MULTILINE)
 
@@ -76,15 +93,16 @@ def _template() -> str:
     return check_template(path.read_text(encoding="utf-8"))
 
 
-def _names(t: ButcherTableau):
-    """The constant name of every coefficient in the (a, b, b_hat, c) layout,
-    or None where it is zero (a valid tableau's upper triangle of a and its
-    c_1 are all None)."""
+def _names(coefficients, named):
+    """The constant name of every coefficient in the (a, b, b_hat, c) layout
+    of ``coefficients``, or None where named(name, value) is false."""
     def row(values, prefix):
-        return [f"{prefix}_{j + 1}" if v != 0 else None for j, v in enumerate(values)]
+        return [n if named(n := f"{prefix}_{j + 1}", v) else None
+                for j, v in enumerate(values)]
 
-    return ([row(r, f"A_{i + 1}") for i, r in enumerate(t.a)],
-            row(t.b, "B"), row(t.b_hat, "BH"), row(t.c, "C"))
+    a, b, b_hat, c = coefficients
+    return ([row(r, f"A_{i + 1}") for i, r in enumerate(a)],
+            row(b, "B"), row(b_hat, "BH"), row(c, "C"))
 
 
 def _constant_lines(t: ButcherTableau, a, b, b_hat, c) -> str:
@@ -102,54 +120,88 @@ def _arrays(a, b, b_hat, c) -> str:
         f"    np.array([{array(v)}])," for v in (b, b_hat, c))
 
 
-def _increment(names) -> str | None:
+def _increment(names, n=None) -> str | None:
     """y + h * (weighted sum of stages) as a list of floats, or None when
     every weight is zero.
 
     Zero weights are elided and the terms are summed left to right in stage
-    order.
+    order, for each component a in r, or, given n, for components 0..n-1
+    written out (the per-N body): the same terms either way.
     """
-    terms = [f"{n} * k{j + 1}[a]" for j, n in enumerate(names) if n]
-    if not terms:
+    def component(a):
+        terms = " + ".join(f"{w} * k{j + 1}{a}" for j, w in enumerate(names) if w)
+        return f"y{a} + h * ({terms})"
+
+    if not any(names):
         return None
-    return f"[y[a] + h * ({' + '.join(terms)}) for a in r]"
+    if n is None:
+        return f"[{component('[a]')} for a in r]"
+    return f"[{', '.join(component(f'_{a}') for a in range(n))}]"
 
 
-def _stage_lines(a, c) -> str:
+def _unpack(name, n) -> str:
+    """The statement that binds the n components of ``name`` to name_0, ..."""
+    return f"{', '.join(f'{name}_{a}' for a in range(n))}{',' * (n == 1)} = {name}"
+
+
+def _stage_lines(a, b, b_hat, c, n=None) -> str:
     """Unrolled stage evaluations on float lists, one line per stage after
-    the first (_step's list body)."""
-    lines = []
+    the first (_step_n's body).  Given n, each stage that a later line reads
+    is unpacked into its components after it, k1 first."""
+    read = {j for row in (*a, b, b_hat) for j, w in enumerate(row) if w}
+    lines = [f"    {_unpack('k1', n)}"] if n is not None and 0 in read else []
     for i in range(1, len(a)):
         time = f"t + {c[i]} * h" if c[i] else "t"
-        lines.append(f"    k{i + 1} = f({time}, {_increment(a[i]) or 'y'})")
+        lines.append(f"    k{i + 1} = f({time}, {_increment(a[i], n) or 'y'})")
+        if n is not None and i in read:
+            lines.append(f"    {_unpack(f'k{i + 1}', n)}")
     return "\n".join(lines)
 
 
-def _last_stage(t: ButcherTableau, a, b, c) -> str:
-    """_step's reuse[1] (see StepKernel): the last stage, or "None".
+def _last_stage(a, b, c, coefficients) -> str:
+    """_step_n's reuse[1] (see StepKernel): the last stage, or "None".
 
-    The last stage is f(t + h, y_next) when its row of a has b's doubles and
-    c_s is 1.0: its input then sums y_next's floats in order.  The doubles
-    are float(v) of the exact coefficients, which the rendered literals
-    reparse to.  The renderer decides this from the tableau, and the body
-    checks it again at call time: a rebound constant (a patched weight) turns
-    the reuse off.
+    The last stage is f(t + h, y_next) when c_s is 1.0 and the last row of
+    a equals b in ``coefficients``, the float (a, b, b_hat, c) that the
+    module's constants hold (array_step's rule): its input then sums
+    y_next's floats in order.  The body checks it again at call time: a
+    rebound constant (a patched weight) turns the reuse off.
     """
-    if [float(v) for v in (*t.a[-1], t.c[-1])] != [float(v) for v in (*t.b, 1)]:
+    a_f, b_f, _, c_f = coefficients
+    if not (c_f[-1] == 1.0 and (a_f[-1] == b_f).all()):
         return "None"
     last_row = ", ".join(n for n in a[-1] if n)
     weights = ", ".join(n for n in b if n)
     return f"k{len(a)} if ({last_row}, {c[-1]}) == ({weights}, 1.0) else None"
 
 
+def _list_values(names, coefficients, n=None) -> dict:
+    """The placeholders of _step_n's block: its components and stages, per
+    component a in r, or for components 0..n-1 written out."""
+    a, b, b_hat, c = names
+    return {
+        "components": "r = range(len(y))" if n is None else _unpack("y", n),
+        "stage_lines": _stage_lines(*names, n),
+        "y_update": _increment(b, n),
+        "y_hat_update": _increment(b_hat, n),
+        "last_stage": _last_stage(a, b, c, coefficients),
+    }
+
+
 def _docstring_safe(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"""', '\\"\\"\\"')
 
 
+def _fill(text: str, values: dict) -> str:
+    return _PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], text)
+
+
 def _module_source(t: ButcherTableau) -> str:
     """The template with every placeholder filled for t."""
-    a, b, b_hat, c = names = _names(t)
-    values = {
+    # every nonzero coefficient is named; a valid tableau's upper triangle
+    # of a and its c_1 are None
+    names = _names((t.a, t.b, t.b_hat, t.c), lambda name, v: v != 0)
+    return _fill(_template(), {
         "method_name": t.name,
         "order": str(t.p),
         "embedded_order": str(t.p_hat),
@@ -157,12 +209,36 @@ def _module_source(t: ButcherTableau) -> str:
         "description": _docstring_safe(t.description),
         "constants": _constant_lines(t, *names),
         "arrays": _arrays(*names),
-        "stage_lines": _stage_lines(a, c),
-        "y_update": _increment(b),
-        "y_hat_update": _increment(b_hat),
-        "last_stage": _last_stage(t, a, b, c),
-    }
-    return _PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], _template())
+        **_list_values(names, _float_coefficients(t)),
+    })
+
+
+def list_body(namespace: dict, n: int):
+    """A generated module's list body for lists of n floats, given the
+    module's globals, which cache it in _BODIES[n].
+
+    For 1 <= n <= WIDE_N it is the template's _step_n with each component
+    written out: rendered from the constant names that the module binds,
+    its FSAL reuse decided from _ARRAYS, and compiled into the module's
+    namespace, so that it reads the constants when called.  Its terms are
+    _step_n's, in _step_n's order, so it gives the same bits.  For any other
+    n it is _step_n itself.
+    """
+    body = namespace["_step_n"]
+    if 1 <= n <= WIDE_N:
+        # the template's _step_n, from its def line to the blank lines after it
+        text = _template()
+        start = text.index("def _step_n(")
+        block = text[start:text.index("\n\n\n", start) + 1]
+        coefficients = namespace["_ARRAYS"]
+        names = _names(coefficients, lambda name, v: name in namespace)
+        source = _fill(block, _list_values(names, coefficients, n))
+        scope = {}
+        filename = f"<{body.__code__.co_filename}, N = {n}>"
+        exec(compile(source, filename, "exec"), namespace, scope)
+        body = scope["_step_n"]
+    namespace["_BODIES"][n] = body
+    return body
 
 
 def _name_problem(t: ButcherTableau) -> str | None:
@@ -171,12 +247,11 @@ def _name_problem(t: ButcherTableau) -> str | None:
     if keyword.iskeyword(t.name) or keyword.iskeyword(t.name.lower()):
         return (f"method name {t.name!r} or its module name "
                 f"{t.name.lower()!r} is a Python keyword")
-    a, b, b_hat, c = _names(t)
-    bound = _MODULE_NAMES.union(chain(*a, b, b_hat, c))
     for suffix in _DRIVER_SUFFIX_RE.findall(_template()):
-        if t.name + suffix in bound:
+        if t.name + suffix in _MODULE_NAMES or _CONSTANT_RE.fullmatch(t.name + suffix):
             return (f"method name {t.name!r} gives a driver {t.name + suffix} "
-                    f"that shadows a name of the generated module")
+                    f"that shadows a name of the generated module or is named "
+                    f"like a coefficient")
     return None
 
 

@@ -15,6 +15,7 @@ from rkforge.stepcontrol import (
     integrate_info,
     step_on_arrays,
 )
+from rkforge.codegen import list_body
 
 A_2_1 = 0.2
 A_3_1 = 0.075
@@ -71,14 +72,13 @@ _ARRAYS = (
 )
 
 
-def _step(f, t, y, h, reuse=None):
-    """One embedded step from (t, y); returns the main and companion updates
-    as the kind of y, a list of floats or a float array (StepKernel).
+# The list bodies by length, each rendered on first use (list_body).
+_BODIES = {}
 
-    This body takes a list, step_on_arrays an array.
-    """
-    if type(y) is not list:
-        return step_on_arrays(_step, _ARRAYS, f, t, y, h, reuse)
+
+def _step_n(f, t, y, h, reuse=None):
+    """_step's list body, per component a in r; list_body renders it again
+    for lists of one length, with each component written out."""
     r = range(len(y))
     k1 = f(t, y) if reuse is None or reuse[0] is None else reuse[0]
     k2 = f(t + C_2 * h, [y[a] + h * (A_2_1 * k1[a]) for a in r])
@@ -92,6 +92,19 @@ def _step(f, t, y, h, reuse=None):
     if reuse is not None:
         reuse[:] = k1, k7 if (A_7_1, A_7_3, A_7_4, A_7_5, A_7_6, C_7) == (B_1, B_3, B_4, B_5, B_6, 1.0) else None
     return y_next, y_hat_next
+
+
+def _step(f, t, y, h, reuse=None):
+    """One embedded step from (t, y); returns the main and companion updates
+    as the kind of y, a list of floats or a float array (StepKernel).
+
+    This body takes a list, step_on_arrays an array.  A list of N floats
+    runs _BODIES[N]: for N <= WIDE_N, _step_n with each component written
+    out, and _step_n itself above it.
+    """
+    if type(y) is not list:
+        return step_on_arrays(_step, _ARRAYS, f, t, y, h, reuse)
+    return (_BODIES.get(len(y)) or list_body(globals(), len(y)))(f, t, y, h, reuse)
 
 
 _step.lists = True

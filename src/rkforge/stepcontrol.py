@@ -22,7 +22,8 @@ Up to WIDE_N components the drivers carry the state as a list of floats,
 because numpy's per-operation dispatch outweighs the arithmetic on small
 systems, and above it as a float array; at the API boundary it is a float
 array again.  The rest follows the kind of the state (StepKernel's kind
-rule).  WIDE_N is read in one more place, step_on_arrays.
+rule).  WIDE_N is read in two more places, step_on_arrays and
+codegen.list_body, which caps the per-dimension list bodies.
 
 Every driver, the generated modules' too, runs one loop, _drive, with one
 of two policies, adaptive or fixed-step: the control has a single home.
@@ -78,6 +79,14 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _is_finite_real(x) -> bool:
+    """Whether x is a real number other than a bool, finite as a double."""
+    try:
+        return _is_real(x) and math.isfinite(x)
+    except OverflowError:  # an int beyond the doubles
+        return False
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Absolute and relative tolerance, finite; at least one must be positive."""
@@ -86,8 +95,8 @@ class Tolerances:
     r_tol: float
 
     def __post_init__(self):
-        if not (_is_real(self.a_tol) and _is_real(self.r_tol)
-                and 0 <= self.a_tol < math.inf and 0 <= self.r_tol < math.inf):
+        if not (_is_finite_real(self.a_tol) and _is_finite_real(self.r_tol)
+                and self.a_tol >= 0 and self.r_tol >= 0):
             raise ArgumentError(f"tolerances must be nonnegative numbers and finite, "
                                 f"got {self.a_tol!r} and {self.r_tol!r}")
         if self.a_tol + self.r_tol == 0:
@@ -179,7 +188,10 @@ class StepKernel:
     calls f with lists and returns two lists.  A marked f, as the drivers'
     is, likewise takes and returns either kind.  The drivers hand a marked
     step their state as is (module docstring), any other a float array; its
-    results must be N floats, else a ValueError names their shape.
+    results must be N floats, else a ValueError names their shape.  A
+    generated step given a list of N <= WIDE_N floats runs its list body
+    with the N components written out, rendered the first time it sees N
+    (codegen.list_body) and with the bits of the body that loops over them.
 
     Without ``reuse`` a step evaluates every stage.  The drivers pass one
     two-slot list per run instead: on entry reuse[0] is k1 = f(t, y) or
@@ -412,19 +424,31 @@ def rescale_rejected(h_m: float, e_m: float, cp: ControllerParams) -> float:
     return h_m / min(cp.f_max, e_m ** cp.alpha_exp / cp.f_s)
 
 
+def _span(t_start, t_stop) -> float:
+    """t_stop - t_start; raises ArgumentError unless t_start < t_stop are
+    real numbers, finite as doubles."""
+    if not (_is_finite_real(t_start) and _is_finite_real(t_stop) and t_start < t_stop):
+        raise ArgumentError(f"need finite t_start < t_stop, got {t_start!r} and {t_stop!r}")
+    return t_stop - t_start
+
+
 def _entry_check(prob, y_0, t_start: float, t_stop: float, h: float):
     """The argument check every driver and erk_step_generic run first, which
     raises ArgumentError before any rhs call; ``prob`` is an ODEProblem or a
-    bare rhs callable; y_0 must be a nonempty 1-D vector.  Returns (f, y):
-    prob's rhs wrapped, and y_0 as a float array of its own.  f returns the
-    kind of y it was given, a float array or a list of N floats, checked to
-    have shape (N,); a wrong shape can show mid-run, so f raises a plain
-    ValueError for it.  f carries the mark lists (StepKernel).  Given a
-    list, it hands rhs an array of it, unless prob.list_rhs; then it hands
-    rhs the list as is, and returns a list result of length N as is,
+    bare rhs callable; y_0 must be a nonempty 1-D vector of real numbers,
+    the interval must pass _span, and h must be a real number > 0.  Returns
+    (f, y): prob's rhs wrapped, and y_0 as a float array of its own.
+    f returns the kind of y it was given, a float array or a list of N
+    floats, checked to have shape (N,); a wrong shape can show mid-run, so f
+    raises a plain ValueError for it.  f carries the mark lists (StepKernel).
+    Given a list, it hands rhs an array of it, unless prob.list_rhs; then it
+    hands rhs the list as is, and returns a list result of length N as is,
     checking nothing else.
     """
-    y = np.array(y_0, dtype=float)
+    try:
+        y = np.array(y_0, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ArgumentError(f"y_0 must be a nonempty vector of real numbers: {exc}") from None
     if y.ndim != 1 or not y.size:
         raise ArgumentError(f"y_0 must be a nonempty vector, got shape {y.shape}")
     prob = prob if isinstance(prob, ODEProblem) else ODEProblem(len(y), prob)
@@ -432,11 +456,10 @@ def _entry_check(prob, y_0, t_start: float, t_stop: float, h: float):
     if n != len(y):
         raise ArgumentError(f"problem {prob.name!r} has dimension {n}, "
                             f"but y_0 has {len(y)} components")
-    if not (math.isfinite(t_start) and math.isfinite(t_stop) and t_start < t_stop):
-        raise ArgumentError(f"need finite t_start < t_stop, got {t_start!r} and {t_stop!r}")
+    _span(t_start, t_stop)
     if not np.all(np.isfinite(y)):
         raise ArgumentError("initial state must be finite")
-    if not h > 0:
+    if not (_is_real(h) and h > 0):
         raise ArgumentError(f"step size must be positive, got {h!r}")
     rhs, list_rhs = prob.rhs, prob.list_rhs
 
@@ -536,7 +559,7 @@ def _adaptive_loop(kernel: StepKernel, prob, tol: Tolerances, y_0, t_start: floa
     after it, h, E, accepted).  Those records give the failures' logs, and
     the result when ``last`` is StepLog."""
     opts = options or IntegrationOptions()
-    h = opts.h0 if opts.h0 is not None else (t_stop - t_start) / 100.0
+    h = opts.h0 if opts.h0 is not None else _span(t_start, t_stop) / 100.0
     f, y = _entry_check(prob, y_0, t_start, t_stop, h)
     step, y = _driver_state(kernel, y)
     cp = ControllerParams.for_order(kernel.order)

@@ -142,10 +142,12 @@ class TestRenderSolverSource:
         assert names - local - drivers - constants == _MODULE_NAMES
 
     @pytest.mark.parametrize("name", ["Class", "None", "KERNEL", "np", "range", "A_2_1",
-                                      "integrate"])
+                                      "integrate", "B_9", "_step_n"])
     def test_unusable_method_names_refused(self, tmp_path, name):
         # a keyword as method or module name, or a driver (integrate gives
-        # integrate_info) that shadows a name the module uses
+        # integrate_info) that shadows a name the module uses or is named
+        # like a coefficient, which the per-N list bodies look up by name
+        # (ERK43b has no B_9)
         with pytest.raises(ValueError, match=f"method name {name!r}"):
             generate_module_set([replace(TABLEAUS["ERK43b"], name=name)], tmp_path / "out")
         assert not (tmp_path / "out").exists()

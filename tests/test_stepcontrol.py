@@ -572,6 +572,7 @@ def test_h0_must_be_a_real_number(h0):
     (True, 0.0), (0.0, True), (np.bool_(True), 0.0), ("1e-6", 1e-6), (1e-6, "1e-6"),
     (1e-6, None), (None, 1e-6), (1e-6, 1j), (math.nan, 1e-6),
     (math.inf, 0.0), (0.0, math.inf), (1e-6, math.inf),
+    pytest.param(10 ** 400, 1e-6, id="10**400-1e-06"),
 ])
 def test_tolerances_must_be_real_numbers(a_tol, r_tol):
     with pytest.raises(ArgumentError, match="tolerances must be nonnegative numbers"):
@@ -631,6 +632,11 @@ def first_step(driver, h):
 @pytest.mark.parametrize("t_start, t_stop", [
     (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf),
     (-math.inf, math.inf),
+    # not real numbers, or an int beyond the doubles: an adaptive run reads
+    # its default first step from the span, after the check
+    (None, 1.0), (0.0, "1"), (False, 1.0), (0.0, 1j),
+    pytest.param(0.0, 10 ** 400, id="0.0-10**400"),
+    pytest.param(-10 ** 400, 1.0, id="-10**400-1.0"),
 ])
 def test_entry_check_refuses_nonfinite_interval(driver, t_start, t_stop):
     f = CountingRhs()
@@ -673,11 +679,17 @@ def test_entry_check_refuses_nan_state_and_step():
          "initial state must be finite"),
         (lambda: fixed_integrate(kernel("DOPRI5"), f, math.nan, np.array([1.0]), 0.0, 1.0),
          "step size must be positive"),
+        (lambda: fixed_integrate(kernel("DOPRI5"), f, None, np.array([1.0]), 0.0, 1.0),
+         "step size must be positive"),
+        (lambda: fixed_integrate(kernel("DOPRI5"), f, "0.1", np.array([1.0]), 0.0, 1.0),
+         "step size must be positive"),
         (lambda: erk_step_generic(TABLEAUS["DOPRI5"], f, 0.0, np.array([1.0]), math.nan),
          "finite t_start < t_stop"),
     ]
-    # an empty, a matrix and a scalar state, refused by every entry
-    for y_0 in ([], [[1.0, 2.0], [3.0, 4.0]], 3.0):
+    # an empty, a matrix and a scalar state, and entries that are not real
+    # numbers or are beyond the doubles, refused by every entry
+    for y_0 in ([], [[1.0, 2.0], [3.0, 4.0]], 3.0, [1 + 2j], ["a"], [1.0, None, "x"],
+                [10 ** 400], [[1.0, 2.0], [3.0]]):
         runs += [
             (lambda y_0=y_0: fixed_integrate(kernel("DOPRI5"), f, 0.1, y_0, 0.0, 1.0),
              "nonempty vector"),
