@@ -6,7 +6,9 @@ For each hand-written module (src/rkforge/*.py; the generated modules are
 not counted) it prints the total lines and their split into docstring lines
 (module, class and function docstrings, found by ast), comment-only lines,
 blank lines outside docstrings, and code.  For the solver template it prints
-the total.  It only reports; there is no threshold.
+the total.  On a row of its own, outside the hand-written total, it prints
+the total lines of the generated modules (src/rkforge/generated/*.py).  It
+only reports; there is no threshold.
 """
 import ast
 import sys
@@ -49,6 +51,9 @@ def main() -> int:
         total += lines
         print(f"{'templates/' + path.name:<28}{lines:>10}")
     print(f"{'hand-written total':<28}{total:>10}")
+    generated = sum(len(path.read_text(encoding="utf-8").splitlines())
+                    for path in (root / "generated").glob("*.py"))
+    print(f"{'generated/*.py':<28}{generated:>10}")
     return 0
 
 

@@ -10,53 +10,9 @@ the `forge` command line in `rkforge.cli`.
 """
 from importlib import resources
 
-from .tableau import (
-    ButcherTableau,
-    ValidationReport,
-    parse_method_file,
-    render_coefficient_literal,
-    validate_tableau,
-)
-from .stepcontrol import (
-    ControllerParams,
-    IntegrationOptions,
-    ODEProblem,
-    StepLog,
-    Tolerances,
-    Trajectory,
-    adaptive_integrate,
-    erk_step_generic,
-    error_norm,
-    fixed_integrate,
-    integrate_info,
-    interpreted_kernel,
-    propose_step_size,
-    rescale_rejected,
-)
+from .tableau import parse_method_file, validate_tableau
 
-__all__ = [
-    "ButcherTableau",
-    "ValidationReport",
-    "parse_method_file",
-    "render_coefficient_literal",
-    "validate_tableau",
-    "ControllerParams",
-    "IntegrationOptions",
-    "ODEProblem",
-    "StepLog",
-    "Tolerances",
-    "Trajectory",
-    "adaptive_integrate",
-    "erk_step_generic",
-    "error_norm",
-    "fixed_integrate",
-    "integrate_info",
-    "interpreted_kernel",
-    "propose_step_size",
-    "rescale_rejected",
-    "shipped_method_path",
-    "shipped_methods",
-]
+__all__ = ["parse_method_file", "shipped_method_path", "shipped_methods", "validate_tableau"]
 
 __version__ = "0.1.0"
 

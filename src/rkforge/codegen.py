@@ -14,10 +14,9 @@ The module's list body, _step_n, loops over the components.  For lists of
 at run time, with the components written out (y_0, y_1 = y, and each stage
 input [y_0 + h * (A_3_1 * k1_0 + A_3_2 * k2_0), ...]) from the module's own
 constant names; a generated _step calls it the first time it sees a length
-and caches the result in the module.  That costs 0.2 to 1.1 ms per (method,
-N) at N <= 4 and 3.7 ms for DOPRI8 at N = 16 (2 cores, Python 3.11.7), once
-per process.  The module files carry only _step_n, so a fresh interpreter
-compiles no body that it does not run.
+and caches the result in the module, once per process.  The module files
+carry only _step_n, so a fresh interpreter compiles no body that it does not
+run.
 """
 from __future__ import annotations
 

@@ -75,16 +75,20 @@ class ArgumentError(ValueError):
 
 
 def _is_real(x) -> bool:
-    """Whether x is a real number other than a bool; numpy scalars count."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    """Whether x is a real number other than a bool that float() converts;
+    numpy scalars count, an int beyond the doubles does not."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def _is_finite_real(x) -> bool:
     """Whether x is a real number other than a bool, finite as a double."""
-    try:
-        return _is_real(x) and math.isfinite(x)
-    except OverflowError:  # an int beyond the doubles
-        return False
+    return _is_real(x) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -268,7 +272,8 @@ def erk_step_generic(t: ButcherTableau, prob: ODEProblem, t_m: float,
     generated specialized code is checked against.  Its arguments pass the
     drivers' entry check on the interval [t_m, t_m + h].
     """
-    f, y_m = _entry_check(prob, y_m, t_m, t_m + h, h)
+    t_stop = t_m + h if _is_real(t_m) and _is_real(h) else None
+    f, y_m = _entry_check(prob, y_m, t_m, t_stop, h)
     return array_step(_float_coefficients(t), f, t_m, y_m, h)
 
 
@@ -436,8 +441,8 @@ def _entry_check(prob, y_0, t_start: float, t_stop: float, h: float):
     """The argument check every driver and erk_step_generic run first, which
     raises ArgumentError before any rhs call; ``prob`` is an ODEProblem or a
     bare rhs callable; y_0 must be a nonempty 1-D vector of real numbers,
-    the interval must pass _span, and h must be a real number > 0.  Returns
-    (f, y): prob's rhs wrapped, and y_0 as a float array of its own.
+    the interval must pass _span, and h must pass _is_real and be > 0.
+    Returns (f, y): prob's rhs wrapped, and y_0 as a float array of its own.
     f returns the kind of y it was given, a float array or a list of N
     floats, checked to have shape (N,); a wrong shape can show mid-run, so f
     raises a plain ValueError for it.  f carries the mark lists (StepKernel).

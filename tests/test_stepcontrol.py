@@ -336,6 +336,8 @@ class TestFixedIntegrate:
         # the span over h is 100.0000083, but step 100 already ends at t_stop;
         # a run that went on to a step 101 would repeat t_stop
         (1e-11, 1.0, 1.0 + 1e-9, 101),
+        # a step longer than the span, up to inf, takes one step
+        (math.inf, 0.0, 1.0, 2), (1e308, 0.0, 1.0, 2),
     ])
     def test_point_count(self, h, t_start, t_stop, points):
         prob = ODEProblem(1, lambda t, y: np.zeros(1), "null")
@@ -685,7 +687,15 @@ def test_entry_check_refuses_nan_state_and_step():
          "step size must be positive"),
         (lambda: erk_step_generic(TABLEAUS["DOPRI5"], f, 0.0, np.array([1.0]), math.nan),
          "finite t_start < t_stop"),
+        # an int step beyond the doubles, which float() cannot convert
+        (lambda: fixed_integrate(kernel("DOPRI5"), f, 10 ** 400, np.array([1.0]), 0.0, 1.0),
+         "step size must be positive"),
+        (lambda: IntegrationOptions(h0=10 ** 400), "h0 must be a positive number"),
     ]
+    # erk_step_generic's interval [t_m, t_m + h] has no end to check
+    for t_m, h in ((None, 0.1), (0.0, None), (0.0, "0.1"), (10 ** 400, 0.1), (0.0, 10 ** 400)):
+        runs.append((lambda t_m=t_m, h=h: erk_step_generic(TABLEAUS["DOPRI5"], f, t_m, [1.0], h),
+                     "finite t_start < t_stop"))
     # an empty, a matrix and a scalar state, and entries that are not real
     # numbers or are beyond the doubles, refused by every entry
     for y_0 in ([], [[1.0, 2.0], [3.0, 4.0]], 3.0, [1 + 2j], ["a"], [1.0, None, "x"],
