@@ -5,9 +5,9 @@ that reparses to the same 64-bit value, locale independent).  Exit codes:
 0 success, 1 runtime failure, 2 usage or validation error.  Every error path
 prints one line `forge: error[<code>] <text>` to stderr.  `main` owns the
 mapping from an exception to its code and exit code.  A command raises a
-CliError, which carries both, only for what it alone can name: a usage
-error, or a failure whose code depends on the command (a method file that
-cannot be read or parsed, an invalid tableau).
+CliError, which carries a code and exits 2, only for what it alone can name:
+a usage error, or a failure whose code depends on the command (a method
+file that cannot be read or parsed, an invalid tableau).
 """
 from __future__ import annotations
 
@@ -38,21 +38,16 @@ __all__ = ["main", "kernel_seconds"]
 
 
 class CliError(Exception):
-    def __init__(self, code: str, message: str, exit_code: int):
+    def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-        self.exit_code = exit_code
-
-
-def _usage_error(code: str, message: str) -> CliError:
-    return CliError(code, message, 2)
 
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors take the one-line error path."""
 
     def error(self, message):
-        raise _usage_error("bad-flags", message)
+        raise CliError("bad-flags", message)
 
 
 def _positive_int(text: str) -> int:
@@ -83,11 +78,11 @@ def _load_methods(path: str):
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise _usage_error("io-failure", f"cannot read {path}: {exc}") from exc
+        raise CliError("io-failure", f"cannot read {path}: {exc}") from exc
     try:
         return parse_method_file(data)
     except TableauError as exc:
-        raise _usage_error("invalid-method-file", str(exc)) from exc
+        raise CliError("invalid-method-file", str(exc)) from exc
 
 
 def _generated_registry():
@@ -101,16 +96,16 @@ def _solver(name: str):
         return registry[name]
     except KeyError:
         known = ", ".join(sorted(registry))
-        raise _usage_error("unknown-method",
-                           f"no generated solver named {name!r}; available: {known}") from None
+        raise CliError("unknown-method",
+                       f"no generated solver named {name!r}; available: {known}") from None
 
 
 def _case(name: str):
     try:
         return benchmark_case(name)
     except ValueError as exc:
-        raise _usage_error("unknown-problem",
-                           f"{exc}; available: {', '.join(PROBLEM_NAMES)}") from exc
+        raise CliError("unknown-problem",
+                       f"{exc}; available: {', '.join(PROBLEM_NAMES)}") from exc
 
 
 def cmd_generate(args) -> int:
@@ -122,7 +117,7 @@ def cmd_generate(args) -> int:
     try:
         manifest = generate_module_set(methods, args.out)
     except ValueError as exc:
-        raise _usage_error("invalid-tableau", str(exc)) from exc
+        raise CliError("invalid-tableau", str(exc)) from exc
     _write_output(format_manifest(manifest), args.output)
     return 0
 
@@ -142,7 +137,7 @@ def cmd_validate(args) -> int:
             lines.append(f"{t.name}: warning: {w}")
     _write_output("\n".join(lines), args.output)
     if bad:
-        raise _usage_error("invalid-tableau", "method file has invalid tableaus")
+        raise CliError("invalid-tableau", "method file has invalid tableaus")
     return 0
 
 
@@ -171,11 +166,11 @@ def _check_solve_flags(args):
     tolerances (None when fixed).  The runtime refuses bad values itself."""
     fixed = args.h is not None
     if fixed and (args.atol is not None or args.rtol is not None):
-        raise _usage_error("bad-flags", "give either --h or --atol/--rtol, not both")
+        raise CliError("bad-flags", "give either --h or --atol/--rtol, not both")
     if not fixed and (args.atol is None or args.rtol is None):
-        raise _usage_error("bad-flags", "adaptive runs need both --atol and --rtol")
+        raise CliError("bad-flags", "adaptive runs need both --atol and --rtol")
     if fixed and args.output_kind == "steplog":
-        raise _usage_error("bad-flags", "steplog output needs an adaptive run")
+        raise CliError("bad-flags", "steplog output needs an adaptive run")
     return None if fixed else Tolerances(args.atol, args.rtol)
 
 
@@ -216,7 +211,7 @@ def cmd_report(args) -> int:
     given = [name for name in _ARENSTORF_DEFAULTS if name in vars(args)]
     if given and args.kind != "arenstorf-table":
         named = ", ".join("--" + name.replace("_", "-") for name in given)
-        raise _usage_error("bad-flags", f"{named}: only for --kind arenstorf-table")
+        raise CliError("bad-flags", f"{named}: only for --kind arenstorf-table")
     if args.kind == "arenstorf-table":
         flags = {name: getattr(args, name, default)
                  for name, default in _ARENSTORF_DEFAULTS.items()}
@@ -286,8 +281,8 @@ def cmd_bench(args) -> int:
     from . import shipped_methods
     tableau = next((t for t in shipped_methods() if t.name == args.method), None)
     if tableau is None:
-        raise _usage_error("unknown-method",
-                           f"no table named {args.method!r} in the shipped method file")
+        raise CliError("unknown-method",
+                       f"no table named {args.method!r} in the shipped method file")
     generated_s = kernel_seconds(module.KERNEL, args.steps)
     generic_s = kernel_seconds(interpreted_kernel(tableau), args.steps)
     ratio = generic_s / generated_s
@@ -366,7 +361,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
-        code, message, exit_code = exc.code, exc, exc.exit_code
+        code, message, exit_code = exc.code, exc, 2
     except ArgumentError as exc:
         code, message, exit_code = "bad-flags", exc, 2
     except IntegrationError as exc:

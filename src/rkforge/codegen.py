@@ -3,20 +3,23 @@
 Each method yields one Python module whose step kernel is fully unrolled:
 every nonzero coefficient becomes a named scalar constant (A_i_j, B_j, BH_j,
 C_i) rendered at 17 significant digits, and terms with zero coefficients are
-simply absent; wide systems get the same constants as stepcontrol.array_step's
-arrays.  One template, templates/solver.py.tmpl, is declarative text with
-{{name}} placeholders, read and checked once; all expansion logic (per-stage
-loops, zero elision, whether the last stage is first same as last) lives in
-this renderer, which fills every placeholder in a single pass.
+simply absent.  One template, templates/solver.py.tmpl, is declarative text
+with {{name}} placeholders, read and checked once; all expansion logic
+(per-stage loops, zero elision, whether the last stage is first same as
+last) lives in this renderer, which fills every placeholder in a single pass.
 
-The module's list body, _step_n, loops over the components.  For lists of
-1 to WIDE_N floats, list_body renders the same block of the template again
-at run time, with the components written out (y_0, y_1 = y, and each stage
-input [y_0 + h * (A_3_1 * k1_0 + A_3_2 * k2_0), ...]) from the module's own
-constant names; a generated _step calls it the first time it sees a length
-and caches the result in the module, once per process.  The module files
-carry only _step_n, so a fresh interpreter compiles no body that it does not
-run.
+Wide systems run stepcontrol.array_step on the module's _ARRAYS, which
+coefficient_arrays builds from the module's constants once, when the module
+is imported.  The module's list body, _step_n, loops over the components.
+For lists of 1 to WIDE_N floats, list_body renders the same block of the
+template again at run time, with the components written out (y_0, y_1 = y,
+and each stage input [y_0 + h * (A_3_1 * k1_0 + A_3_2 * k2_0), ...]) from
+the module's own constant names; a generated _step calls it the first time
+it sees a length and caches the result in the module, once per process.
+The module files carry only _step_n, so a fresh interpreter compiles no body
+that it does not run.  Both helpers find the constants by the one naming
+rule of _names.  The list bodies read the constants when called, so a
+constant rebound later changes them at once, and never the wide path.
 """
 from __future__ import annotations
 
@@ -30,6 +33,8 @@ from importlib import resources
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 from .stepcontrol import WIDE_N, _float_coefficients
 from .tableau import ButcherTableau, render_coefficient_literal, validate_tableau
 
@@ -41,6 +46,7 @@ __all__ = [
     "generate_module_set",
     "format_manifest",
     "list_body",
+    "coefficient_arrays",
 ]
 
 _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
@@ -49,7 +55,7 @@ _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
 # other.
 _PLACEHOLDERS = frozenset({
     "method_name", "order", "embedded_order", "stages", "description",
-    "constants", "arrays", "components", "stage_lines", "y_update", "y_hat_update",
+    "constants", "components", "stage_lines", "y_update", "y_hat_update",
     "last_stage",
 })
 
@@ -58,23 +64,36 @@ _PLACEHOLDERS = frozenset({
 # shadow it.
 _MODULE_NAMES = frozenset({
     "np", "StepKernel", "Tolerances", "adaptive_integrate", "fixed_integrate",
-    "integrate_info", "step_on_arrays", "list_body", "_ARRAYS", "_BODIES", "_step_n",
-    "_step", "KERNEL", "range", "type", "list", "len", "globals",
+    "integrate_info", "step_on_arrays", "list_body", "coefficient_arrays", "_ARRAYS",
+    "_BODIES", "_step_n", "_step", "KERNEL", "range", "type", "list", "len", "globals",
 })
 
-# The names of coefficient constants; list_body finds a module's constants by
-# them, so no driver may be named so.
+# The names of coefficient constants; list_body and coefficient_arrays find a
+# module's constants by them, so no driver may be named so.
 _CONSTANT_RE = re.compile(r"A_\d+_\d+|BH?_\d+|C_\d+")
 
 _DRIVER_SUFFIX_RE = re.compile(r"^def \{\{method_name\}\}(\w*)\(", re.MULTILINE)
 
 
 class TemplateError(ValueError):
-    """Template uses an unknown placeholder or lacks a required one."""
+    """Template uses an unknown placeholder, lacks a required one, or lacks
+    the _step_n block that list_body renders."""
+
+
+def _list_block(text: str) -> str:
+    """The template's one _step_n block, from its def line to the blank
+    lines after it."""
+    start = text.find("def _step_n(")
+    end = text.find("\n\n\n", start)
+    if text.count("def _step_n(") != 1 or end < 0:
+        raise TemplateError("need exactly one 'def _step_n(' block, "
+                            "ended by two blank lines")
+    return text[start:end + 1]
 
 
 def check_template(text: str) -> str:
-    """Return the template text if its placeholders are exactly the known set."""
+    """Return the template text if its placeholders are exactly the known set
+    and it has exactly one _step_n block."""
     used = set(_PLACEHOLDER_RE.findall(text))
     unknown = used - _PLACEHOLDERS
     if unknown:
@@ -82,6 +101,7 @@ def check_template(text: str) -> str:
     missing = _PLACEHOLDERS - used
     if missing:
         raise TemplateError(f"missing required placeholders {sorted(missing)}")
+    _list_block(text)
     return text
 
 
@@ -107,16 +127,6 @@ def _names(coefficients, named):
 def _constant_lines(t: ButcherTableau, a, b, b_hat, c) -> str:
     pairs = zip(chain(*a, b, b_hat, c), chain(*t.a, t.b, t.b_hat, t.c))
     return "\n".join(f"{n} = {render_coefficient_literal(v)}" for n, v in pairs if n)
-
-
-def _arrays(a, b, b_hat, c) -> str:
-    """The named constants as array_step's coefficient arrays, 0.0 for zeros."""
-    def array(names):
-        return ", ".join(n or "0.0" for n in names)
-
-    rows = "".join(f"        [{array(r)}],\n" for r in a)
-    return f"    np.array([\n{rows}    ]),\n" + "\n".join(
-        f"    np.array([{array(v)}])," for v in (b, b_hat, c))
 
 
 def _increment(names, n=None) -> str | None:
@@ -207,7 +217,6 @@ def _module_source(t: ButcherTableau) -> str:
         "stages": str(t.s),
         "description": _docstring_safe(t.description),
         "constants": _constant_lines(t, *names),
-        "arrays": _arrays(*names),
         **_list_values(names, _float_coefficients(t)),
     })
 
@@ -225,19 +234,29 @@ def list_body(namespace: dict, n: int):
     """
     body = namespace["_step_n"]
     if 1 <= n <= WIDE_N:
-        # the template's _step_n, from its def line to the blank lines after it
-        text = _template()
-        start = text.index("def _step_n(")
-        block = text[start:text.index("\n\n\n", start) + 1]
         coefficients = namespace["_ARRAYS"]
         names = _names(coefficients, lambda name, v: name in namespace)
-        source = _fill(block, _list_values(names, coefficients, n))
+        source = _fill(_list_block(_template()), _list_values(names, coefficients, n))
         scope = {}
         filename = f"<{body.__code__.co_filename}, N = {n}>"
         exec(compile(source, filename, "exec"), namespace, scope)
         body = scope["_step_n"]
     namespace["_BODIES"][n] = body
     return body
+
+
+def coefficient_arrays(namespace: dict, s: int):
+    """array_step's coefficient arrays (a, b, b_hat, c) of an s-stage
+    generated module, given its globals: each entry is the constant that
+    the module binds under that coefficient's name, 0.0 where it binds none.
+
+    A module builds its _ARRAYS so once, when it is imported; a constant
+    rebound later changes its list bodies, which read the constants when
+    called, and never the wide path.
+    """
+    a, *vectors = _names(([range(s)] * s, range(s), range(s), range(s)), lambda *_: True)
+    return (np.array([[namespace.get(n, 0.0) for n in row] for row in a]),
+            *(np.array([namespace.get(n, 0.0) for n in v]) for v in vectors))
 
 
 def _name_problem(t: ButcherTableau) -> str | None:
@@ -254,13 +273,30 @@ def _name_problem(t: ButcherTableau) -> str | None:
     return None
 
 
+def _overflows(name, value) -> bool:
+    """Whether the nearest double of ``value`` is infinite, so that
+    render_coefficient_literal refuses it."""
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
+def _overflow_problem(t: ButcherTableau) -> str:
+    """Which coefficients of t lie beyond the doubles, or "" if none does."""
+    a, b, b_hat, c = _names((t.a, t.b, t.b_hat, t.c), _overflows)
+    beyond = ", ".join(n for n in chain(*a, b, b_hat, c) if n)
+    return beyond and f"coefficients beyond the 64-bit floats: {beyond}"
+
+
 def violation_lines(t: ButcherTableau, report) -> list[str]:
     """Why no module can be generated for t, as `forge validate` words it:
     one "NAME: violation: ..." line per violation in ``report`` (t's
-    validate_tableau report), then one for an unusable method name."""
+    validate_tableau report), then one for coefficients beyond the doubles
+    and one for an unusable method name."""
     found = [str(v) for v in report.violations]
-    if problem := _name_problem(t):
-        found.append(problem)
+    found += filter(None, (_overflow_problem(t), _name_problem(t)))
     return [f"{t.name}: violation: {v}" for v in found]
 
 

@@ -15,7 +15,7 @@ from rkforge.stepcontrol import (
     integrate_info,
     step_on_arrays,
 )
-from rkforge.codegen import list_body
+from rkforge.codegen import coefficient_arrays, list_body
 
 A_2_1 = 0.2
 A_3_1 = 0.075
@@ -55,24 +55,11 @@ C_5 = 0.88888888888888884
 C_6 = 1.0
 C_7 = 1.0
 
-# The constants as array_step's coefficient arrays (a, b, b_hat, c).
-_ARRAYS = (
-    np.array([
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [A_2_1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [A_3_1, A_3_2, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [A_4_1, A_4_2, A_4_3, 0.0, 0.0, 0.0, 0.0],
-        [A_5_1, A_5_2, A_5_3, A_5_4, 0.0, 0.0, 0.0],
-        [A_6_1, A_6_2, A_6_3, A_6_4, A_6_5, 0.0, 0.0],
-        [A_7_1, 0.0, A_7_3, A_7_4, A_7_5, A_7_6, 0.0],
-    ]),
-    np.array([B_1, 0.0, B_3, B_4, B_5, B_6, 0.0]),
-    np.array([BH_1, 0.0, BH_3, BH_4, BH_5, BH_6, BH_7]),
-    np.array([0.0, C_2, C_3, C_4, C_5, C_6, C_7]),
-)
-
-
-# The list bodies by length, each rendered on first use (list_body).
+# array_step's coefficient arrays (a, b, b_hat, c), built from the constants
+# once, at import, and the list bodies by length, rendered on first use
+# (list_body): a constant rebound later changes the list bodies at once and
+# never the wide path.
+_ARRAYS = coefficient_arrays(globals(), 7)
 _BODIES = {}
 
 

@@ -15,7 +15,7 @@ from rkforge.stepcontrol import (
     integrate_info,
     step_on_arrays,
 )
-from rkforge.codegen import list_body
+from rkforge.codegen import coefficient_arrays, list_body
 
 A_2_1 = 0.055555555555555552
 A_3_1 = 0.020833333333333332
@@ -106,30 +106,11 @@ C_11 = 0.9246562776405044
 C_12 = 1.0
 C_13 = 1.0
 
-# The constants as array_step's coefficient arrays (a, b, b_hat, c).
-_ARRAYS = (
-    np.array([
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [A_2_1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [A_3_1, A_3_2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [A_4_1, 0.0, A_4_3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [A_5_1, 0.0, A_5_3, A_5_4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [A_6_1, 0.0, 0.0, A_6_4, A_6_5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [A_7_1, 0.0, 0.0, A_7_4, A_7_5, A_7_6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [A_8_1, 0.0, 0.0, A_8_4, A_8_5, A_8_6, A_8_7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [A_9_1, 0.0, 0.0, A_9_4, A_9_5, A_9_6, A_9_7, A_9_8, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [A_10_1, 0.0, 0.0, A_10_4, A_10_5, A_10_6, A_10_7, A_10_8, A_10_9, 0.0, 0.0, 0.0, 0.0],
-        [A_11_1, 0.0, 0.0, A_11_4, A_11_5, A_11_6, A_11_7, A_11_8, A_11_9, A_11_10, 0.0, 0.0, 0.0],
-        [A_12_1, 0.0, 0.0, A_12_4, A_12_5, A_12_6, A_12_7, A_12_8, A_12_9, A_12_10, A_12_11, 0.0, 0.0],
-        [A_13_1, 0.0, 0.0, A_13_4, A_13_5, A_13_6, A_13_7, A_13_8, A_13_9, A_13_10, A_13_11, 0.0, 0.0],
-    ]),
-    np.array([B_1, 0.0, 0.0, 0.0, 0.0, B_6, B_7, B_8, B_9, B_10, B_11, B_12, B_13]),
-    np.array([BH_1, 0.0, 0.0, 0.0, 0.0, BH_6, BH_7, BH_8, BH_9, BH_10, BH_11, BH_12, 0.0]),
-    np.array([0.0, C_2, C_3, C_4, C_5, C_6, C_7, C_8, C_9, C_10, C_11, C_12, C_13]),
-)
-
-
-# The list bodies by length, each rendered on first use (list_body).
+# array_step's coefficient arrays (a, b, b_hat, c), built from the constants
+# once, at import, and the list bodies by length, rendered on first use
+# (list_body): a constant rebound later changes the list bodies at once and
+# never the wide path.
+_ARRAYS = coefficient_arrays(globals(), 13)
 _BODIES = {}
 
 

@@ -273,14 +273,16 @@ def render_coefficient_literal(r: Fraction) -> str:
     exactly (1/2 -> "0.5"); integers carry a trailing ".0"; everything else is
     the 17-significant-digit rendering of the nearest 64-bit float, which is
     the value both the generated code and the generic kernel will compute
-    with.
+    with.  A coefficient whose nearest double would be infinite, an integer
+    included, raises CoefficientError.
     """
+    try:
+        nearest = float(r)
+    except OverflowError:
+        raise CoefficientError(f"coefficient {r} overflows a 64-bit float") from None
     if r.denominator == 1:
         return f"{r.numerator}.0"
     try:
         return format(_SHORT_DECIMAL.divide(r.numerator, r.denominator), "f")
     except decimal.Inexact:
-        try:
-            return "%.17g" % float(r)
-        except OverflowError:
-            raise CoefficientError(f"coefficient {r} overflows a 64-bit float") from None
+        return "%.17g" % nearest

@@ -240,6 +240,25 @@ class TestGenerate:
         assert code == 2 and out == ""
         assert err.splitlines() == ["forge: error[invalid-tableau] " + "; ".join(lines)]
 
+    def test_coefficient_beyond_the_doubles_exit_2(self, capsys, tmp_path):
+        # a valid tableau whose weights 10^400 and 1 - 10^400 no double holds
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([{
+            "name": "Big", "description": "", "stage": 2, "order": 1,
+            "extrapolation_order": 1, "a": [["0", "0"], ["1", "0"]],
+            "b": [str(10 ** 400), str(1 - 10 ** 400)], "b_hat": ["1", "0"],
+            "c": ["0", "1"]}]))
+        line = "Big: violation: coefficients beyond the 64-bit floats: B_1, B_2"
+        code, out, err = run(capsys, "validate", "--methods", str(path))
+        assert code == 2 and out.splitlines() == [line]
+        assert err.splitlines() == [
+            "forge: error[invalid-tableau] method file has invalid tableaus"]
+        out_dir = tmp_path / "g"
+        code, out, err = run(capsys, "generate", "--methods", str(path), "--out", str(out_dir))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"forge: error[invalid-tableau] {line}"]
+        assert not out_dir.exists()
+
     def test_out_is_a_file_exit_1(self, capsys, tmp_path):
         out_file = tmp_path / "g"
         out_file.write_text("")

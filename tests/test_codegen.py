@@ -1,4 +1,5 @@
 import ast
+import math
 import re
 import sys
 import zlib
@@ -15,8 +16,10 @@ from rkforge.codegen import (
     _MODULE_NAMES,
     TemplateError,
     check_template,
+    coefficient_arrays,
     format_manifest,
     generate_module_set,
+    list_body,
     render_method_module,
 )
 from rkforge.generated import METHODS
@@ -24,6 +27,7 @@ from rkforge.stepcontrol import (
     WIDE_N,
     ODEProblem,
     Tolerances,
+    _float_coefficients,
     adaptive_integrate,
     array_step,
     erk_step_generic,
@@ -51,6 +55,15 @@ class TestTemplates:
     def test_missing_required_placeholder_rejected(self):
         with pytest.raises(TemplateError, match="y_hat_update"):
             check_template(TEMPLATE.read_text().replace("{{y_hat_update}}", "0"))
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("def _step_n(", "def _step_loop("),
+        lambda text: text + "\n\ndef _step_n(f, t, y, h, reuse=None):\n    pass\n\n\n",
+    ], ids=["renamed", "twice"])
+    def test_list_body_block_required(self, edit):
+        # list_body cuts exactly one _step_n block out of the template
+        with pytest.raises(TemplateError, match="exactly one 'def _step_n\\(' block"):
+            check_template(edit(TEMPLATE.read_text()))
 
 
 class TestRenderSolverSource:
@@ -102,6 +115,27 @@ class TestRenderSolverSource:
         body = src[src.index("def _step"):src.index("_step.lists")]
         assert re.findall(r"k(\d) = f\(", body) == ["1", "2", "3"]
         assert f"reuse[:] = k1, {last}\n" in body
+
+    def test_stage_with_an_all_zero_row(self):
+        # c = (0, 0, 1): stage 2's row of a is all zero, so it reads f(t, y)
+        zero_row = replace(sample_tableau(), name="zerorow", p=1, p_hat=1,
+                           a=((0, 0, 0), (0, 0, 0), (F(1, 2), F(1, 2), 0)),
+                           b=(F(1, 6), F(1, 3), F(1, 2)), b_hat=(F(1, 2), F(1, 2), 0),
+                           c=(0, 0, 1))
+        src = render_method_module(zero_row)
+        assert "    k2 = f(t, y)\n" in src
+        ns = {}
+        exec(compile(src, "<zerorow>", "exec"), ns)
+        rng = np.random.default_rng(5)
+        for n in range(1, WIDE_N + 1):
+            f = lambda t, y: [math.cos(t) * v - 0.1 * v * v for v in y]
+            y = rng.standard_normal(n).tolist()
+            want = ns["_step_n"](f, 0.3, y, 0.05)
+            got = list_body(ns, n)(f, 0.3, y, 0.05)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), n
+            rhs = ODEProblem(n, lambda t, y: np.cos(t) * y - 0.1 * y * y)
+            reference = erk_step_generic(zero_row, rhs, 0.3, np.array(y), 0.05)[:2]
+            assert np.allclose(want, reference, rtol=0, atol=1e-12), n
 
     def test_identical_weight_rows_render_symmetrically(self):
         t = sample_tableau()
@@ -229,6 +263,19 @@ class TestGenerateModuleSet:
         assert y1[0] == pytest.approx(1.105, abs=1e-15)
         assert y2[0] == pytest.approx(1.1051666666666666, abs=1e-15)
 
+    def test_failed_replace_leaves_the_files_as_they_were(self, tmp_path, monkeypatch):
+        old = {"__init__.py": "old index\n", "sample3.py": "old module\n"}
+        for rel, text in old.items():
+            (tmp_path / rel).write_text(text)
+
+        def failing(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr("rkforge.codegen.os.replace", failing)
+        with pytest.raises(OSError, match="cannot replace"):
+            generate_module_set(parse_method_file(SAMPLE), tmp_path)
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == old
+
     def test_shipped_tree_matches_generator_output(self, tmp_path):
         # the committed generated/ directory is exactly what the generator
         # produces from the shipped method file
@@ -238,6 +285,28 @@ class TestGenerateModuleSet:
         committed = Path(gen.__file__).parent
         for rel, digest in manifest:
             assert (committed / rel).read_text() == (tmp_path / rel).read_text(), rel
+
+
+class TestCoefficientArrays:
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_arrays_hold_the_tableau_doubles(self, name):
+        # the module's constants laid out as array_step's (a, b, b_hat, c),
+        # 0.0 where the module binds no constant
+        got, want = METHODS[name]._ARRAYS, _float_coefficients(TABLEAUS[name])
+        assert [(v.dtype, v.shape, v.tobytes()) for v in got] == \
+            [(v.dtype, v.shape, v.tobytes()) for v in want]
+
+    def test_built_from_the_namespace_when_called(self):
+        ns = {}
+        exec(compile(render_method_module(sample_tableau()), "<sample3>", "exec"), ns)
+        a, b, b_hat, c = ns["_ARRAYS"]
+        assert (a[2, 0], b[0], c[2]) == (0.25, 0.5, 0.5)
+        ns["A_3_1"], ns["B_1"] = 0.75, 0.0
+        del ns["C_3"]
+        a, b, b_hat, c = coefficient_arrays(ns, 3)
+        assert (a[2, 0], b[0], c[2]) == (0.75, 0.0, 0.0)
+        # the module's own arrays were built once, at import
+        assert (ns["_ARRAYS"][0][2, 0], ns["_ARRAYS"][1][0]) == (0.25, 0.5)
 
 
 class TestVariantConsistency:

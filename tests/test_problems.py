@@ -94,6 +94,11 @@ class TestArenstorf:
             assert lhs == pytest.approx(arenstorf_hamiltonian(state) - 2 * cross,
                                         rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("mu1", [0.0, 1.0, -0.1, 1.5, math.nan])
+    def test_mass_ratio_out_of_range_refused(self, mu1):
+        with pytest.raises(ValueError, match="need 0 < mu1 < 1"):
+            ArenstorfParams(mu1=mu1)
+
     def test_singularity_raises(self):
         params = ArenstorfParams()
         with pytest.raises(SingularityError):

@@ -198,6 +198,17 @@ class TestController:
         assert rescale_rejected(0.1, 2.0, cp8) == pytest.approx(
             0.1 / (2.0 ** 0.1 / 0.8), rel=1e-12)
 
+    def test_controller_refuses_nonpositive_steps_and_errors(self):
+        cp = ControllerParams.for_order(4)
+        for h in (0.0, -0.1):
+            with pytest.raises(ValueError, match="h_m must be positive"):
+                propose_step_size(h, 0.5, 1.0, cp)
+            with pytest.raises(ValueError, match="h_m must be positive"):
+                rescale_rejected(h, 2.0, cp)
+        for e_prev in (0.0, -1.0):
+            with pytest.raises(ValueError, match="e_prev must be positive"):
+                propose_step_size(0.1, 0.5, e_prev, cp)
+
     def test_monotone_in_error(self):
         cp = ControllerParams.for_order(5)
         hs = [propose_step_size(0.1, e, 0.7, cp)
@@ -209,6 +220,12 @@ class TestController:
             ControllerParams(f_s=1.2, alpha_exp=0.1, beta_exp=0.1)
         with pytest.raises(ValueError):
             ControllerParams(f_min=2.0, alpha_exp=0.1, beta_exp=0.1)
+        for alpha, beta in ((0.0, 0.1), (-0.1, 0.1), (0.1, -0.1)):
+            with pytest.raises(ValueError, match="need alpha_exp > 0 and beta_exp >= 0"):
+                ControllerParams(alpha_exp=alpha, beta_exp=beta)
+        for p in (0, -1):
+            with pytest.raises(ValueError, match="order must be positive"):
+                ControllerParams.for_order(p)
         with pytest.raises(ArgumentError):
             Tolerances(0.0, 0.0)
         with pytest.raises(ArgumentError):

@@ -193,6 +193,20 @@ class TestValidateTableau:
         [v] = report.violations
         assert v.code == "b-sum" and v.residual == Fraction(1, 10)
 
+    def test_nonzero_first_node(self):
+        t = sample_tableau()
+        broken = ButcherTableau(
+            name=t.name, description=t.description, s=t.s, p=t.p, p_hat=t.p_hat,
+            a=t.a, b=t.b, b_hat=t.b_hat, c=(Fraction(1, 5), *t.c[1:]))
+        codes = {v.code: v for v in validate_tableau(broken).violations}
+        assert codes["c1-nonzero"].residual == Fraction(1, 5)
+        assert codes["c1-nonzero"].message == "c^1 must be 0, got 1/5"
+
+    def test_stage_count_must_be_positive(self):
+        with pytest.raises(MethodDimensionError, match="stage count must be positive, got 0"):
+            ButcherTableau(name="none", description="", s=0, p=1, p_hat=1,
+                           a=(), b=(), b_hat=(), c=())
+
     def test_bad_name(self):
         t = sample_tableau()
         broken = ButcherTableau(
@@ -249,6 +263,19 @@ class TestRenderCoefficientLiteral:
     def test_overflow_is_a_coefficient_error(self):
         with pytest.raises(CoefficientError, match="overflows a 64-bit float"):
             render_coefficient_literal(Fraction(10 ** 400, 3))
+
+    @pytest.mark.parametrize("r", [10 ** 400, -10 ** 400, 2 ** 1024 - 2 ** 970],
+                             ids=["10^400", "-10^400", "2^1024-2^970"])
+    def test_integer_overflow_is_a_coefficient_error(self, r):
+        # 2^1024 - 2^970 lies halfway between the largest double and 2^1024,
+        # so it rounds to even, up and out of range
+        with pytest.raises(CoefficientError, match="overflows a 64-bit float"):
+            render_coefficient_literal(Fraction(r))
+
+    def test_largest_double_renders(self):
+        literal = render_coefficient_literal(Fraction(2 ** 1024 - 2 ** 971))
+        assert literal == f"{2 ** 1024 - 2 ** 971}.0"
+        assert float(literal) == 1.7976931348623157e308
 
     def test_deterministic(self):
         r = Fraction(-5103, 18656)
