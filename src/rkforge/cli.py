@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import shipped_method_path
-from .codegen import format_manifest, generate_module_set, violation_lines
+from .codegen import TemplateError, format_manifest, generate_module_set, violation_lines
 from .problems import PROBLEM_NAMES, benchmark_case, closure_error
 from .stepcontrol import (
     ArgumentError,
@@ -116,6 +116,8 @@ def cmd_generate(args) -> int:
                 print(f"forge: warning[{t.name}] {w}", file=sys.stderr)
     try:
         manifest = generate_module_set(methods, args.out)
+    except TemplateError:
+        raise
     except ValueError as exc:
         raise CliError("invalid-tableau", str(exc)) from exc
     _write_output(format_manifest(manifest), args.output)
@@ -368,6 +370,8 @@ def main(argv=None) -> int:
         code, message, exit_code = "integration-failure", exc, 1
     except OSError as exc:
         code, message, exit_code = "io-failure", exc, 1
+    except TemplateError as exc:
+        code, message, exit_code = "invalid-template", exc, 2
     except ValueError as exc:
         # Not a refused argument, so this comes from the rhs: a singularity
         # or an output of the wrong shape.

@@ -15,9 +15,14 @@ For lists of 1 to WIDE_N floats, list_body renders the same block of the
 template again at run time, with the components written out (y_0, y_1 = y,
 and each stage input [y_0 + h * (A_3_1 * k1_0 + A_3_2 * k2_0), ...]) from
 the module's own constant names; a generated _step calls it the first time
-it sees a length and caches the result in the module, once per process.
-The module files carry only _step_n, so a fresh interpreter compiles no body
-that it does not run.  Both helpers find the constants by the one naming
+it sees a length and caches the result in the module's _BODIES under that
+length N, once per process.  A fixed-step run asks for y_next alone (the
+mark fixed on its f, see StepKernel), and _step then runs the fixed form,
+which list_body renders from the same block and caches under -N: no y_hat
+row, y_next in the y_hat_next slot, and no line for a stage that neither
+y_next nor the FSAL hand-over reads (_live).  The module files carry only
+_step_n, so a fresh interpreter compiles no body that it does not run.
+Both helpers find the constants by the one naming
 rule of _names.  The list bodies read the constants when called, so a
 constant rebound later changes them at once, and never the wide path.
 """
@@ -66,6 +71,7 @@ _MODULE_NAMES = frozenset({
     "np", "StepKernel", "Tolerances", "adaptive_integrate", "fixed_integrate",
     "integrate_info", "step_on_arrays", "list_body", "coefficient_arrays", "_ARRAYS",
     "_BODIES", "_step_n", "_step", "KERNEL", "range", "type", "list", "len", "globals",
+    "getattr",
 })
 
 # The names of coefficient constants; list_body and coefficient_arrays find a
@@ -155,11 +161,12 @@ def _unpack(name, n) -> str:
 
 def _stage_lines(a, b, b_hat, c, n=None) -> str:
     """Unrolled stage evaluations on float lists, one line per stage after
-    the first (_step_n's body).  Given n, each stage that a later line reads
-    is unpacked into its components after it, k1 first."""
-    read = {j for row in (*a, b, b_hat) for j, w in enumerate(row) if w}
+    the first whose row of a is not None (_step_n's body).  Given n, each
+    stage that a later line reads is unpacked into its components after it,
+    k1 first."""
+    read = {j for row in (*a, b, b_hat) if row for j, w in enumerate(row) if w}
     lines = [f"    {_unpack('k1', n)}"] if n is not None and 0 in read else []
-    for i in range(1, len(a)):
+    for i in (i for i in range(1, len(a)) if a[i] is not None):
         time = f"t + {c[i]} * h" if c[i] else "t"
         lines.append(f"    k{i + 1} = f({time}, {_increment(a[i], n) or 'y'})")
         if n is not None and i in read:
@@ -184,16 +191,35 @@ def _last_stage(a, b, c, coefficients) -> str:
     return f"k{len(a)} if ({last_row}, {c[-1]}) == ({weights}, 1.0) else None"
 
 
-def _list_values(names, coefficients, n=None) -> dict:
+def _live(a, b, last_stage) -> set:
+    """The stages that y_next or the reuse hand-over reads: stage 1, the
+    stages of nonzero weight in b, the last stage when ``last_stage`` hands
+    it over, and every stage that a live stage's row of a reads."""
+    live = {0, *(j for j, w in enumerate(b) if w)}
+    if last_stage != "None":
+        live.add(len(a) - 1)
+    for i in range(len(a) - 1, 0, -1):  # row i reads only stages before it
+        if i in live:
+            live.update(j for j, w in enumerate(a[i]) if w)
+    return live
+
+
+def _list_values(names, coefficients, n=None, fixed=False) -> dict:
     """The placeholders of _step_n's block: its components and stages, per
-    component a in r, or for components 0..n-1 written out."""
+    component a in r, or for components 0..n-1 written out.  The ``fixed``
+    form computes no y_hat row, hands y_next back in its place, and has no
+    line for a stage outside _live."""
     a, b, b_hat, c = names
+    last_stage = _last_stage(a, b, c, coefficients)
+    if fixed:
+        live = _live(a, b, last_stage)
+        a, b_hat = [row if i in live else None for i, row in enumerate(a)], [None] * len(b)
     return {
         "components": "r = range(len(y))" if n is None else _unpack("y", n),
-        "stage_lines": _stage_lines(*names, n),
+        "stage_lines": _stage_lines(a, b, b_hat, c, n),
         "y_update": _increment(b, n),
-        "y_hat_update": _increment(b_hat, n),
-        "last_stage": _last_stage(a, b, c, coefficients),
+        "y_hat_update": "y_next" if fixed else _increment(b_hat, n),
+        "last_stage": last_stage,
     }
 
 
@@ -222,23 +248,27 @@ def _module_source(t: ButcherTableau) -> str:
 
 
 def list_body(namespace: dict, n: int):
-    """A generated module's list body for lists of n floats, given the
-    module's globals, which cache it in _BODIES[n].
+    """A generated module's list body for lists of |n| floats, given the
+    module's globals, which cache it in _BODIES[n]; n < 0 asks for the
+    fixed form, which returns (y_next, y_next).
 
-    For 1 <= n <= WIDE_N it is the template's _step_n with each component
-    written out: rendered from the constant names that the module binds,
-    its FSAL reuse decided from _ARRAYS, and compiled into the module's
+    For 1 <= |n| <= WIDE_N it is the template's _step_n with each component
+    written out, and for any other n < 0 _step_n's loop in fixed form:
+    rendered from the constant names that the module binds, its FSAL reuse
+    and live stages decided from _ARRAYS, and compiled into the module's
     namespace, so that it reads the constants when called.  Its terms are
     _step_n's, in _step_n's order, so it gives the same bits.  For any other
     n it is _step_n itself.
     """
     body = namespace["_step_n"]
-    if 1 <= n <= WIDE_N:
+    if n < 0 or 1 <= n <= WIDE_N:
         coefficients = namespace["_ARRAYS"]
         names = _names(coefficients, lambda name, v: name in namespace)
-        source = _fill(_list_block(_template()), _list_values(names, coefficients, n))
+        size = abs(n) if abs(n) <= WIDE_N else None
+        values = _list_values(names, coefficients, size, fixed=n < 0)
+        source = _fill(_list_block(_template()), values)
         scope = {}
-        filename = f"<{body.__code__.co_filename}, N = {n}>"
+        filename = f"<{body.__code__.co_filename}, N = {abs(n)}{', fixed' * (n < 0)}>"
         exec(compile(source, filename, "exec"), namespace, scope)
         body = scope["_step_n"]
     namespace["_BODIES"][n] = body

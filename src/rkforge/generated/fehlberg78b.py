@@ -99,9 +99,9 @@ C_11 = 1.0
 C_13 = 1.0
 
 # array_step's coefficient arrays (a, b, b_hat, c), built from the constants
-# once, at import, and the list bodies by length, rendered on first use
-# (list_body): a constant rebound later changes the list bodies at once and
-# never the wide path.
+# once, at import, and the list bodies by length N, and in fixed form by -N,
+# rendered on first use (list_body): a constant rebound later changes the
+# list bodies at once and never the wide path.
 _ARRAYS = coefficient_arrays(globals(), 13)
 _BODIES = {}
 
@@ -136,11 +136,13 @@ def _step(f, t, y, h, reuse=None):
 
     This body takes a list, step_on_arrays an array.  A list of N floats
     runs _BODIES[N]: for N <= WIDE_N, _step_n with each component written
-    out, and _step_n itself above it.
+    out, and _step_n itself above it.  An f marked fixed (StepKernel) gets
+    _BODIES[-N] instead, the fixed form, which returns (y_next, y_next).
     """
     if type(y) is not list:
         return step_on_arrays(_step, _ARRAYS, f, t, y, h, reuse)
-    return (_BODIES.get(len(y)) or list_body(globals(), len(y)))(f, t, y, h, reuse)
+    n = -len(y) if getattr(f, "fixed", False) else len(y)
+    return (_BODIES.get(n) or list_body(globals(), n))(f, t, y, h, reuse)
 
 
 _step.lists = True

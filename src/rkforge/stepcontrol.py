@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tableau import ButcherTableau
+from .tableau import ButcherTableau, CoefficientError
 
 __all__ = [
     "ArgumentError",
@@ -197,6 +197,15 @@ class StepKernel:
     with the N components written out, rendered the first time it sees N
     (codegen.list_body) and with the bits of the body that loops over them.
 
+    The request, with its one mark ``fixed = True``: a fixed-step run sets
+    it on the drivers' f to ask for y_next alone.  A step given a marked f
+    may then skip the work that only y_hat_next needs, and returns y_next
+    in both slots; a step that ignores the mark stays correct.  A generated
+    step then runs the fixed form of its list body, which evaluates only the
+    stages that y_next or the reuse hand-over reads (codegen.list_body), and
+    array_step skips only the b_hat product.  So an rhs with side effects
+    sees fewer calls on a fixed-step run; the results keep their bits.
+
     Without ``reuse`` a step evaluates every stage.  The drivers pass one
     two-slot list per run instead: on entry reuse[0] is k1 = f(t, y) or
     None; on return reuse[0] holds the k1 the step used and reuse[1] the last
@@ -260,8 +269,14 @@ def _float_coefficients(t: ButcherTableau):
     """Tableau coefficients as float64 arrays (a, b, b_hat, c), each the
     nearest double to its exact rational.  The generated code's literals
     reparse to the same doubles (acceptance criterion 2), so the interpreter
-    and the generated code agree bit for bit without sharing the renderer."""
-    return tuple(np.array(v, dtype=float) for v in (t.a, t.b, t.b_hat, t.c))
+    and the generated code agree bit for bit without sharing the renderer.
+    A coefficient beyond the doubles raises CoefficientError, worded as
+    codegen.violation_lines words it."""
+    try:
+        return tuple(np.array(v, dtype=float) for v in (t.a, t.b, t.b_hat, t.c))
+    except OverflowError:
+        from .codegen import _overflow_problem  # codegen imports this module
+        raise CoefficientError(_overflow_problem(t)) from None
 
 
 def erk_step_generic(t: ButcherTableau, prob: ODEProblem, t_m: float,
@@ -289,7 +304,10 @@ def array_step(coefficients, f, t_m: float, y_m: np.ndarray, h: float, reuse=Non
     ``reuse`` is StepKernel's.  When c_s is 1.0 and the last row of a equals
     b (first same as last, the rule codegen._last_stage applies to the same
     floats), y_next is the last stage's input, so that stage is
-    f(t_m + h, y_next) by construction and is always handed back.
+    f(t_m + h, y_next) by construction and is always handed back.  Given an
+    f marked fixed (StepKernel) it returns y_next as y_hat_next too, and
+    skips the b_hat product only: dropping stages from its products could
+    change their rounding.
     """
     a, b, b_hat, c = coefficients
     k = np.empty((a.shape[0], y_m.shape[0]))
@@ -305,9 +323,12 @@ def array_step(coefficients, f, t_m: float, y_m: np.ndarray, h: float, reuse=Non
         y_next = b @ k
         y_next *= h
         y_next += y_m
-    y_hat_next = b_hat @ k
-    y_hat_next *= h
-    y_hat_next += y_m
+    if getattr(f, "fixed", False):
+        y_hat_next = y_next
+    else:
+        y_hat_next = b_hat @ k
+        y_hat_next *= h
+        y_hat_next += y_m
     if reuse is not None:
         reuse[:] = k[0], k[-1] if fsal else None
     return y_next, y_hat_next, k
@@ -320,7 +341,8 @@ def step_on_arrays(list_step, coefficients, f, t_m: float, y_m, h: float, reuse=
     Above WIDE_N it runs array_step on ``coefficients``, and f gets float
     arrays.  Up to WIDE_N it runs ``list_step`` on y_m.tolist(): an f marked
     lists (StepKernel), as the drivers' is, gets the stage lists, an
-    unmarked one float arrays, k1 getting y_m itself.
+    unmarked one float arrays, k1 getting y_m itself.  So the drivers' f
+    reaches list_step as it is, with its mark fixed on a fixed-step run.
     """
     if y_m.shape[0] > WIDE_N:
         return array_step(coefficients, f, t_m, y_m, h, reuse)[:2]
@@ -625,17 +647,23 @@ def fixed_integrate(method: StepKernel, prob, h: float, y_0,
                     options: IntegrationOptions | None = None):
     """Uniform steps of size h, the last one snapped to t_stop.
 
-    No error control; the embedded solution is computed but unused.  Of
-    ``options`` only max_steps applies: a run of more steps, a set h0, or
-    an h below h_min that does not reach t_stop in one step raises
-    ArgumentError before the first rhs call.  The fixed policy of _drive:
-    plan counts its own steps and ends step m of n = max(1, ceil(span / h -
-    1e-9)) at t_start + m * h, or at t_stop if m = n or that is past t_stop,
-    and the run stops at t_stop, so the times strictly increase; judge gives
-    E = 0, or raises DivergenceError for a non-finite state (see
-    IntegrationError).
+    No error control, so the drivers' f carries the mark fixed (StepKernel),
+    and a generated kernel computes no embedded solution and evaluates no
+    stage that only it reads: per step, Fehlberg45 skips stage 6 (1 of 6 rhs
+    calls), DVERK65 stage 6 (1 of 8) and Fehlberg78B stages 12 and 13 (2 of
+    13); the other six shipped methods read every stage for y_next or hand
+    the last one over.  array_step, and so interpreted_kernel, skips only
+    the b_hat product.  Of ``options`` only max_steps applies: a run of
+    more steps, a set h0, or an h below h_min that does not reach t_stop in
+    one step raises ArgumentError before the first rhs call.  The fixed
+    policy of _drive: plan counts its own steps and ends step m of n =
+    max(1, ceil(span / h - 1e-9)) at t_start + m * h, or at t_stop if m = n
+    or that is past t_stop, and the run stops at t_stop, so the times
+    strictly increase; judge gives E = 0, or raises DivergenceError for a
+    non-finite state (see IntegrationError).
     """
     f, y = _entry_check(prob, y_0, t_start, t_stop, h)
+    f.fixed = True
     step, y = _driver_state(method, y)
     if options is not None and options.h0 is not None:
         raise ArgumentError(f"h0 applies only to adaptive runs, got h0 = {options.h0!r}")

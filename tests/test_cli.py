@@ -3,11 +3,12 @@ import math
 import os
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rkforge import cli, shipped_method_path
+from rkforge import cli, codegen, shipped_method_path
 from rkforge.cli import main
 from rkforge.generated import METHODS
 from rkforge.problems import ArenstorfParams, benchmark_case
@@ -266,6 +267,32 @@ class TestGenerate:
         assert code == 1 and out == ""
         [line] = err.splitlines()
         assert line.startswith("forge: error[io-failure] ")
+
+
+class TestBrokenTemplate:
+    # a packaged template without its _step_n block: validate and generate
+    # read it to check method names, solve to render a list body
+    @pytest.mark.parametrize("argv", [
+        ("validate",),
+        ("generate",),
+        ("solve", "--method", "Fehlberg45", "--problem", "vdp", "--atol", "1e-6",
+         "--rtol", "1e-6", "--output-kind", "last"),
+        ("solve", "--method", "Fehlberg45", "--problem", "vdp", "--h", "0.01",
+         "--output-kind", "last"),
+    ], ids=["validate", "generate", "solve-adaptive", "solve-fixed"])
+    def test_invalid_template_exit_2(self, capsys, monkeypatch, tmp_path, argv):
+        text = (Path(codegen.__file__).parent / "templates" / "solver.py.tmpl").read_text()
+        broken = text.replace("def _step_n(", "def _step_loop(")
+        monkeypatch.setattr(codegen, "_template", lambda: codegen.check_template(broken))
+        monkeypatch.setattr(METHODS["Fehlberg45"], "_BODIES", {})
+        out_dir = tmp_path / "g"
+        if argv == ("generate",):
+            argv += ("--out", str(out_dir))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["forge: error[invalid-template] need exactly one "
+                                    "'def _step_n(' block, ended by two blank lines"]
+        assert not out_dir.exists()
 
 
 class TestSolve:

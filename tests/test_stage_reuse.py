@@ -31,6 +31,11 @@ TABLEAUS = {t.name: t for t in shipped_methods()}
 # first same as last in exact arithmetic: c_s = 1, the last row of a is b and b_s = 0
 FSAL = {name for name, t in TABLEAUS.items()
         if t.c[-1] == 1 and tuple(t.a[-1]) == tuple(t.b) and t.b[-1] == 0}
+# the stages that the fixed form of a generated list body skips, since
+# neither y_next nor the reuse hand-over reads them: Fehlberg45's stage 6 and
+# DVERK65's stage 6 feed only b_hat, Fehlberg78B's stages 12 and 13 only b_hat
+# and stage 13's row of a
+FIXED_SKIPS = {"Fehlberg45": 1, "DVERK65": 1, "Fehlberg78B": 2}
 
 _RNG = np.random.default_rng(zlib.crc32(b"stage reuse"))
 _MAT = _RNG.standard_normal((40, 40)) / 8.0
@@ -199,4 +204,5 @@ def test_fixed_step_time_guard(name, body):
     assert got.times.tobytes() == want.times.tobytes()
     assert got.states.tobytes() == want.states.tobytes()
     steps = got.times.size - 1
-    assert f.calls == TABLEAUS[name].s * steps - (name in FSAL) * (steps - 2)
+    live = TABLEAUS[name].s - FIXED_SKIPS.get(name, 0) * (body == "generated")
+    assert f.calls == live * steps - (name in FSAL) * (steps - 2)

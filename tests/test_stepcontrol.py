@@ -2,11 +2,14 @@ import math
 import re
 import tracemalloc
 import zlib
+from dataclasses import replace
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from rkforge import shipped_methods
+from rkforge.codegen import violation_lines
 from rkforge.stepcontrol import (
     ArgumentError,
     ControllerParams,
@@ -27,6 +30,7 @@ from rkforge.stepcontrol import (
     propose_step_size,
     rescale_rejected,
 )
+from rkforge.tableau import CoefficientError, validate_tableau
 from test_tableau import sample_tableau
 
 TABLEAUS = {t.name: t for t in shipped_methods()}
@@ -73,6 +77,20 @@ class TestGenericStep:
         prob = ODEProblem(2, lambda tt, yy: np.zeros(3), "bad")
         with pytest.raises(ValueError, match="shape"):
             erk_step_generic(t, prob, 0.0, np.zeros(2), 0.1)
+
+    def test_coefficient_beyond_the_doubles(self):
+        # validate_tableau passes b = (10^400, 1 - 10^400), which no double
+        # holds; both interpreter entry points refuse it as codegen words it
+        big = replace(sample_tableau(), name="Big", s=2, p=1, p_hat=1,
+                      a=((0, 0), (1, 0)), b=(F(10 ** 400), 1 - F(10 ** 400)),
+                      b_hat=(1, 0), c=(0, 1))
+        assert validate_tableau(big).ok
+        words = "coefficients beyond the 64-bit floats: B_1, B_2"
+        assert violation_lines(big, validate_tableau(big)) == [f"Big: violation: {words}"]
+        with pytest.raises(CoefficientError, match=f"^{words}$"):
+            interpreted_kernel(big)
+        with pytest.raises(CoefficientError, match=f"^{words}$"):
+            erk_step_generic(big, lambda tt, yy: yy, 0.0, np.ones(2), 0.1)
 
 
 class TestErrorNorm:

@@ -8,12 +8,15 @@ the traced round differ from the untraced one or go uncounted.  This reads
 perfbench/ and changes nothing there.
 """
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from rkforge import cli
 from rkforge.generated import METHODS
 from rkforge.problems import benchmark_case
+from rkforge.stepcontrol import fixed_integrate
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -44,3 +47,27 @@ def test_traced_solve_matches_untraced(name):
     assert tracer.rhs_calls == counter.rhs_calls > 0
     assert tracer.calls(bench_trace.ERROR_NORM) == attempts
     assert tracer.calls(bench_trace.GENERATED_STEP) == attempts
+
+
+def test_traced_fixed_run_matches_untraced():
+    # the twin wraps the kernel's step in a plain function, which hands the
+    # generated step arrays; the fixed form that skips Fehlberg45's stage 6
+    # is asked for through the drivers' f, so the twin takes it too
+    kernel = METHODS["Fehlberg45"].KERNEL
+    case = benchmark_case("vdp")
+    h = 0.01
+    steps = round((case.t_stop - case.t_start) / h)
+
+    def run(driver, counter):
+        problem = replace(case.problem, rhs=counter.rhs(case.problem.rhs))
+        return driver(kernel, problem, h, case.y_0, case.t_start, case.t_stop, last=True)
+
+    counter = bench_trace.Counter()
+    t_plain, y_plain = run(fixed_integrate, counter)
+    tracer = bench_trace.Tracer()
+    with tracer.installed():
+        t_traced, y_traced = run(cli.fixed_integrate, tracer)
+
+    assert (t_traced, y_traced.tobytes()) == (t_plain, y_plain.tobytes())
+    assert tracer.rhs_calls == counter.rhs_calls == 5 * steps
+    assert tracer.calls(bench_trace.GENERATED_STEP) == steps
