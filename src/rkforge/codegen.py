@@ -22,9 +22,9 @@ which list_body renders from the same block and caches under -N: no y_hat
 row, y_next in the y_hat_next slot, and no line for a stage that neither
 y_next nor the FSAL hand-over reads (_live).  The module files carry only
 _step_n, so a fresh interpreter compiles no body that it does not run.
-Both helpers find the constants by the one naming
-rule of _names.  The list bodies read the constants when called, so a
-constant rebound later changes them at once, and never the wide path.
+Both helpers find the constants by the one naming rule,
+tableau.coefficient_names.  The list bodies read the constants when called,
+so a constant rebound later changes them at once, and never the wide path.
 """
 from __future__ import annotations
 
@@ -40,8 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .stepcontrol import WIDE_N, _float_coefficients
-from .tableau import ButcherTableau, render_coefficient_literal, validate_tableau
+from .stepcontrol import WIDE_N, first_same_as_last
+from .tableau import (ButcherTableau, beyond_doubles, coefficient_names,
+                      render_coefficient_literal, validate_tableau)
 
 __all__ = [
     "TemplateError",
@@ -68,7 +69,7 @@ _PLACEHOLDERS = frozenset({
 # drivers and its coefficient constants; a driver of the same name would
 # shadow it.
 _MODULE_NAMES = frozenset({
-    "np", "StepKernel", "Tolerances", "adaptive_integrate", "fixed_integrate",
+    "StepKernel", "Tolerances", "adaptive_integrate", "fixed_integrate",
     "integrate_info", "step_on_arrays", "list_body", "coefficient_arrays", "_ARRAYS",
     "_BODIES", "_step_n", "_step", "KERNEL", "range", "type", "list", "len", "globals",
     "getattr",
@@ -118,23 +119,6 @@ def _template() -> str:
     return check_template(path.read_text(encoding="utf-8"))
 
 
-def _names(coefficients, named):
-    """The constant name of every coefficient in the (a, b, b_hat, c) layout
-    of ``coefficients``, or None where named(name, value) is false."""
-    def row(values, prefix):
-        return [n if named(n := f"{prefix}_{j + 1}", v) else None
-                for j, v in enumerate(values)]
-
-    a, b, b_hat, c = coefficients
-    return ([row(r, f"A_{i + 1}") for i, r in enumerate(a)],
-            row(b, "B"), row(b_hat, "BH"), row(c, "C"))
-
-
-def _constant_lines(t: ButcherTableau, a, b, b_hat, c) -> str:
-    pairs = zip(chain(*a, b, b_hat, c), chain(*t.a, t.b, t.b_hat, t.c))
-    return "\n".join(f"{n} = {render_coefficient_literal(v)}" for n, v in pairs if n)
-
-
 def _increment(names, n=None) -> str | None:
     """y + h * (weighted sum of stages) as a list of floats, or None when
     every weight is zero.
@@ -177,14 +161,13 @@ def _stage_lines(a, b, b_hat, c, n=None) -> str:
 def _last_stage(a, b, c, coefficients) -> str:
     """_step_n's reuse[1] (see StepKernel): the last stage, or "None".
 
-    The last stage is f(t + h, y_next) when c_s is 1.0 and the last row of
-    a equals b in ``coefficients``, the float (a, b, b_hat, c) that the
-    module's constants hold (array_step's rule): its input then sums
-    y_next's floats in order.  The body checks it again at call time: a
+    The last stage is f(t + h, y_next) when ``coefficients``, the float
+    (a, b, b_hat, c) that the module's constants hold, are
+    first_same_as_last, array_step's rule: its input then sums y_next's
+    floats in order.  The body checks it again at call time: a
     rebound constant (a patched weight) turns the reuse off.
     """
-    a_f, b_f, _, c_f = coefficients
-    if not (c_f[-1] == 1.0 and (a_f[-1] == b_f).all()):
+    if not first_same_as_last(coefficients):
         return "None"
     last_row = ", ".join(n for n in a[-1] if n)
     weights = ", ".join(n for n in b if n)
@@ -232,18 +215,23 @@ def _fill(text: str, values: dict) -> str:
 
 
 def _module_source(t: ButcherTableau) -> str:
-    """The template with every placeholder filled for t."""
+    """The template with every placeholder filled for t.  Its reuse
+    hand-over is decided on the layout that the module's _ARRAYS gets at
+    import, built from the constants that it renders."""
     # every nonzero coefficient is named; a valid tableau's upper triangle
     # of a and its c_1 are None
-    names = _names((t.a, t.b, t.b_hat, t.c), lambda name, v: v != 0)
+    a, b, b_hat, c = names = coefficient_names((t.a, t.b, t.b_hat, t.c), lambda _, v: v != 0)
+    constants = {n: v for n, v in zip(chain(*a, b, b_hat, c), chain(*t.a, t.b, t.b_hat, t.c)) if n}
+    lines = "\n".join(f"{n} = {render_coefficient_literal(v)}" for n, v in constants.items())
+    arrays = coefficient_arrays({n: float(v) for n, v in constants.items()}, t.s)
     return _fill(_template(), {
         "method_name": t.name,
         "order": str(t.p),
         "embedded_order": str(t.p_hat),
         "stages": str(t.s),
         "description": _docstring_safe(t.description),
-        "constants": _constant_lines(t, *names),
-        **_list_values(names, _float_coefficients(t)),
+        "constants": lines,
+        **_list_values(names, arrays),
     })
 
 
@@ -263,7 +251,7 @@ def list_body(namespace: dict, n: int):
     body = namespace["_step_n"]
     if n < 0 or 1 <= n <= WIDE_N:
         coefficients = namespace["_ARRAYS"]
-        names = _names(coefficients, lambda name, v: name in namespace)
+        names = coefficient_names(coefficients, lambda name, v: name in namespace)
         size = abs(n) if abs(n) <= WIDE_N else None
         values = _list_values(names, coefficients, size, fixed=n < 0)
         source = _fill(_list_block(_template()), values)
@@ -284,7 +272,7 @@ def coefficient_arrays(namespace: dict, s: int):
     rebound later changes its list bodies, which read the constants when
     called, and never the wide path.
     """
-    a, *vectors = _names(([range(s)] * s, range(s), range(s), range(s)), lambda *_: True)
+    a, *vectors = coefficient_names(([range(s)] * s, *[range(s)] * 3), lambda *_: True)
     return (np.array([[namespace.get(n, 0.0) for n in row] for row in a]),
             *(np.array([namespace.get(n, 0.0) for n in v]) for v in vectors))
 
@@ -303,30 +291,13 @@ def _name_problem(t: ButcherTableau) -> str | None:
     return None
 
 
-def _overflows(name, value) -> bool:
-    """Whether the nearest double of ``value`` is infinite, so that
-    render_coefficient_literal refuses it."""
-    try:
-        float(value)
-    except OverflowError:
-        return True
-    return False
-
-
-def _overflow_problem(t: ButcherTableau) -> str:
-    """Which coefficients of t lie beyond the doubles, or "" if none does."""
-    a, b, b_hat, c = _names((t.a, t.b, t.b_hat, t.c), _overflows)
-    beyond = ", ".join(n for n in chain(*a, b, b_hat, c) if n)
-    return beyond and f"coefficients beyond the 64-bit floats: {beyond}"
-
-
 def violation_lines(t: ButcherTableau, report) -> list[str]:
     """Why no module can be generated for t, as `forge validate` words it:
     one "NAME: violation: ..." line per violation in ``report`` (t's
     validate_tableau report), then one for coefficients beyond the doubles
     and one for an unusable method name."""
     found = [str(v) for v in report.violations]
-    found += filter(None, (_overflow_problem(t), _name_problem(t)))
+    found += filter(None, (beyond_doubles(t), _name_problem(t)))
     return [f"{t.name}: violation: {v}" for v in found]
 
 
@@ -347,14 +318,8 @@ def render_method_module(t: ButcherTableau) -> str:
 def _index_source(methods) -> str:
     lines = ['"""Registry of generated embedded Runge-Kutta solver modules.', "",
              "Generated by `forge generate`; do not edit by hand.", '"""']
-    for t in methods:
-        lines.append(f"from . import {t.name.lower()}")
-    lines.append("")
-    lines.append("METHODS = {")
-    for t in methods:
-        lines.append(f'    "{t.name}": {t.name.lower()},')
-    lines.append("}")
-    lines.append("")
+    lines += [f"from . import {t.name.lower()}" for t in methods]
+    lines += ["", "METHODS = {", *(f'    "{t.name}": {t.name.lower()},' for t in methods), "}", ""]
     return "\n".join(lines)
 
 

@@ -5,8 +5,6 @@ Dormand-Prince 5(4) pair, 7 stages, first-same-as-last, locally minimised error 
 Generated from the method table; regenerate with `forge generate` instead of
 editing by hand.
 """
-import numpy as np
-
 from rkforge.stepcontrol import (
     StepKernel,
     Tolerances,

@@ -5,8 +5,6 @@ Prince-Dormand 8(7) pair, 13 stages, minimised error coefficients. From Prince a
 Generated from the method table; regenerate with `forge generate` instead of
 editing by hand.
 """
-import numpy as np
-
 from rkforge.stepcontrol import (
     StepKernel,
     Tolerances,

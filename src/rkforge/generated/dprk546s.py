@@ -5,8 +5,6 @@ Dormand-Prince 5(4) pair, 6 stages. Coefficients from Dormand and Prince, A fami
 Generated from the method table; regenerate with `forge generate` instead of
 editing by hand.
 """
-import numpy as np
-
 from rkforge.stepcontrol import (
     StepKernel,
     Tolerances,

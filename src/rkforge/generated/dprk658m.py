@@ -5,8 +5,6 @@ Prince-Dormand 6(5) pair, 8 stages, minimised error coefficients. From Prince an
 Generated from the method table; regenerate with `forge generate` instead of
 editing by hand.
 """
-import numpy as np
-
 from rkforge.stepcontrol import (
     StepKernel,
     Tolerances,

@@ -5,8 +5,6 @@ Verner 6(5) pair, 8 stages, the coefficients of Hull's DVERK code. From Verner, 
 Generated from the method table; regenerate with `forge generate` instead of
 editing by hand.
 """
-import numpy as np
-
 from rkforge.stepcontrol import (
     StepKernel,
     Tolerances,

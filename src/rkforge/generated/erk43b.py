@@ -5,8 +5,6 @@ Classical fourth-order Runge-Kutta scheme paired with a third-order error estima
 Generated from the method table; regenerate with `forge generate` instead of
 editing by hand.
 """
-import numpy as np
-
 from rkforge.stepcontrol import (
     StepKernel,
     Tolerances,

@@ -5,8 +5,6 @@ Fehlberg 4(5) pair, 6 stages; fourth-order solution propagated, fifth-order comp
 Generated from the method table; regenerate with `forge generate` instead of
 editing by hand.
 """
-import numpy as np
-
 from rkforge.stepcontrol import (
     StepKernel,
     Tolerances,

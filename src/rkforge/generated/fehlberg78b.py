@@ -5,8 +5,6 @@ Fehlberg 7(8) pair, 13 stages; seventh-order solution propagated, eighth-order c
 Generated from the method table; regenerate with `forge generate` instead of
 editing by hand.
 """
-import numpy as np
-
 from rkforge.stepcontrol import (
     StepKernel,
     Tolerances,

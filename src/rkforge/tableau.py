@@ -6,6 +6,12 @@ rows ``b`` and ``b_hat``, and the nodes ``c``.  All coefficients are stored as
 `fractions.Fraction` so that consistency checks (row sums, weight sums) are
 exact; conversion to 64-bit floats happens only when solver source is
 rendered or a kernel is built.
+
+Two rules about a tableau's doubles live here, where the renderer, the
+interpreter and `forge validate` all read them: coefficient_names, the one
+naming rule (A_i_j, B_j, BH_j, C_i) by which generated code binds and finds
+its constants, and beyond_doubles, which names the coefficients whose
+nearest double would be infinite.
 """
 from __future__ import annotations
 
@@ -30,6 +36,8 @@ __all__ = [
     "validate_tableau",
     "strict_warnings",
     "render_coefficient_literal",
+    "coefficient_names",
+    "beyond_doubles",
 ]
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
@@ -286,3 +294,32 @@ def render_coefficient_literal(r: Fraction) -> str:
         return format(_SHORT_DECIMAL.divide(r.numerator, r.denominator), "f")
     except decimal.Inexact:
         return "%.17g" % nearest
+
+
+def coefficient_names(coefficients, named):
+    """The constant name of every coefficient in the (a, b, b_hat, c) layout
+    of ``coefficients``, or None where named(name, value) is false."""
+    def row(values, prefix):
+        return [n if named(n := f"{prefix}_{j + 1}", v) else None
+                for j, v in enumerate(values)]
+
+    a, b, b_hat, c = coefficients
+    return ([row(r, f"A_{i + 1}") for i, r in enumerate(a)],
+            row(b, "B"), row(b_hat, "BH"), row(c, "C"))
+
+
+def _overflows(name, value) -> bool:
+    """Whether the nearest double of ``value`` is infinite, so that
+    render_coefficient_literal refuses it."""
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
+def beyond_doubles(t: ButcherTableau) -> str:
+    """Which coefficients of t lie beyond the doubles, or "" if none does."""
+    a, b, b_hat, c = coefficient_names((t.a, t.b, t.b_hat, t.c), _overflows)
+    beyond = ", ".join(n for row in (*a, b, b_hat, c) for n in row if n)
+    return beyond and f"coefficients beyond the 64-bit floats: {beyond}"

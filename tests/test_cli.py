@@ -193,7 +193,7 @@ class TestGenerate:
         assert line.startswith("forge: error[invalid-method-file] ")
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("name", ["Class", "KERNEL", "np", "A_2_1", "list", "len", "type"])
+    @pytest.mark.parametrize("name", ["Class", "KERNEL", "A_2_1", "list", "len", "type"])
     def test_unusable_method_name_exit_2(self, capsys, tmp_path, name):
         # each would give a module that breaks on import or on its first solve
         [erk] = [m for m in json.loads(shipped_method_path().read_text())

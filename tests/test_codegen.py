@@ -175,7 +175,7 @@ class TestRenderSolverSource:
         constants = {n for n in names if re.fullmatch(r"A_\d+_\d+|BH?_\d+|C_\d+", n)}
         assert names - local - drivers - constants == _MODULE_NAMES
 
-    @pytest.mark.parametrize("name", ["Class", "None", "KERNEL", "np", "range", "A_2_1",
+    @pytest.mark.parametrize("name", ["Class", "None", "KERNEL", "range", "A_2_1",
                                       "integrate", "B_9", "_step_n"])
     def test_unusable_method_names_refused(self, tmp_path, name):
         # a keyword as method or module name, or a driver (integrate gives

@@ -1,13 +1,19 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import zlib
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rkforge
 from rkforge import shipped_methods
 from rkforge.codegen import violation_lines
 from rkforge.stepcontrol import (
@@ -91,6 +97,29 @@ class TestGenericStep:
             interpreted_kernel(big)
         with pytest.raises(CoefficientError, match=f"^{words}$"):
             erk_step_generic(big, lambda tt, yy: yy, 0.0, np.ones(2), 0.1)
+
+    def test_runtime_never_loads_the_renderer(self):
+        # the refusal's words live in tableau, so building a kernel, even
+        # one that is refused, imports nothing of codegen
+        code = textwrap.dedent("""
+            import sys
+            from fractions import Fraction as F
+            from rkforge.stepcontrol import interpreted_kernel
+            from rkforge.tableau import ButcherTableau, CoefficientError
+            big = ButcherTableau("Big", "", 2, 1, 1, ((0, 0), (1, 0)),
+                                 (F(10 ** 400), 1 - F(10 ** 400)), (1, 0), (0, 1))
+            try:
+                interpreted_kernel(big)
+            except CoefficientError as exc:
+                print(exc)
+            print("rkforge.codegen" in sys.modules)
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(rkforge.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "coefficients beyond the 64-bit floats: B_1, B_2", "False"]
 
 
 class TestErrorNorm:
